@@ -11,6 +11,7 @@ from .graph import (
     degree_matrix,
     laplacian,
     signless_laplacian,
+    spectral_gap,
     spectrum,
 )
 from .io import GraphDocument, dumps_document, load_fixture, read_document, write_document
@@ -88,6 +89,7 @@ __all__ = [
     "schmidt_coefficients",
     "seidel_matrix",
     "signless_laplacian",
+    "spectral_gap",
     "spectral_matrix",
     "spectrum",
     "strength_scan",

@@ -115,3 +115,18 @@ class VerificationFailed(SeidelKitError):
 
 class ParseError(SeidelKitError):
     """Graph document cannot be parsed or violates the document schema."""
+
+
+def raise_first(*checks) -> None:
+    """Raise the error of the earliest failing entry, if any.
+
+    Each check is a pair (mask, make_error): a boolean array over the same
+    sequence of entries, and a function from an entry's position to the
+    exception. The earliest position that any mask flags wins; at one
+    position, the check listed first wins. This keeps the error a sequential
+    walk would raise while every check runs on whole arrays.
+    """
+    hits = [(int(mask.argmax()), k) for k, (mask, _) in enumerate(checks) if mask.any()]
+    if hits:
+        position, k = min(hits)
+        raise checks[k][1](position)

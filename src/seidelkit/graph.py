@@ -2,15 +2,16 @@
 
 A graph is a vertex count plus a map from ordered vertex pairs to nonzero
 real weights. Two vertices carry at most one edge per direction, so the only
-multi-edges are oppositely oriented pairs; a pair (v, v) is a loop. All
-derived matrices (adjacency, degree, Laplacian, signless Laplacian) are dense
-numpy arrays.
+multi-edges are oppositely oriented pairs; a pair (v, v) is a loop. The graph
+is stored as one dense read-only float64 adjacency matrix, built once; the
+edge map is a view of it, built only when asked for. All derived matrices
+(adjacency, degree, Laplacian, signless Laplacian) are dense numpy arrays.
 """
 
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass, field
+from types import MappingProxyType
 from typing import Iterable, Mapping
 
 import numpy as np
@@ -22,91 +23,153 @@ from .errors import (
     NotSymmetric,
     OrderMismatch,
     TooLarge,
+    raise_first,
 )
 
 SYMMETRY_TOL = 1e-12
 ISO_SEARCH_LIMIT = 12
 
 
-@dataclass(frozen=True)
+def _dense(order: int, rows, cols, weights) -> np.ndarray:
+    """Adjacency matrix of parallel edge arrays, after checking their pairs and zeros."""
+    if order < 1:
+        raise InvalidGraph(f"order must be positive, got {order}")
+    rows, cols, weights = (np.asarray(x, dtype=float) for x in (rows, cols, weights))
+    pairs = np.stack([rows, cols])
+    vertex_pair = np.all((pairs >= 0) & (pairs < order) & (pairs % 1 == 0), axis=0)
+    raise_first(
+        (~vertex_pair, lambda i: InvalidGraph(
+            f"edge ({rows[i]:g}, {cols[i]:g}) outside vertex range 0..{order - 1}")),
+        (weights == 0, lambda i: InvalidGraph(
+            f"edge ({rows[i]:g}, {cols[i]:g}) stored with zero weight")),
+    )
+    a = np.zeros((order, order))
+    a[rows.astype(np.intp), cols.astype(np.intp)] = weights
+    return a
+
+
 class WeightedDigraph:
     """Immutable weighted digraph with loops.
 
     `edges` maps ordered pairs (u, v) to weights. A stored weight is never
-    zero (no edge and weight zero are the same thing), and loop weights are
-    strictly positive.
+    zero (no edge and weight zero are the same thing), loop weights are
+    strictly positive, and every weight is finite.
     """
 
-    order: int
-    edges: dict[tuple[int, int], float] = field(default_factory=dict)
+    __slots__ = ("order", "_adjacency", "_edges")
 
-    def __post_init__(self):
-        if self.order < 1:
-            raise InvalidGraph(f"order must be positive, got {self.order}")
-        for (u, v), w in self.edges.items():
-            if not (0 <= u < self.order and 0 <= v < self.order):
-                raise InvalidGraph(f"edge ({u}, {v}) outside vertex range 0..{self.order - 1}")
-            if w == 0:
-                raise InvalidGraph(f"edge ({u}, {v}) stored with zero weight")
-            if u == v and w <= 0:
-                raise InvalidGraph(f"loop at {u} must have positive weight, got {w}")
+    def __init__(self, order: int, edges: Mapping[tuple[int, int], float] | None = None):
+        edges = edges or {}
+        pairs = np.array(list(edges), dtype=float).reshape(-1, 2).T
+        self._adopt(_dense(order, *pairs, np.fromiter(edges.values(), float, len(edges))))
+
+    def _adopt(self, a: np.ndarray) -> None:
+        raise_first(
+            (~np.isfinite(a).all(axis=1), lambda v: InvalidGraph(
+                f"vertex {v} has an edge of non-finite weight")),
+            (np.diagonal(a) < 0, lambda v: InvalidGraph(
+                f"loop at {v} must have positive weight, got {a[v, v]}")),
+        )
+        a.flags.writeable = False
+        for name, value in (("order", len(a)), ("_adjacency", a), ("_edges", None)):
+            object.__setattr__(self, name, value)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"{type(self).__name__} is immutable")
+
+    def __reduce__(self):
+        return (WeightedDigraph.from_adjacency, (self._adjacency,))
+
+    @classmethod
+    def from_adjacency(cls, a: np.ndarray) -> "WeightedDigraph":
+        """Graph of a square matrix (copied) whose entry (i, j) is the weight of i -> j."""
+        a = np.array(a, dtype=float)
+        if a.ndim != 2 or a.shape[0] != a.shape[1]:
+            raise NotSquare(f"expected a square matrix, got shape {a.shape}")
+        if not a.size:
+            raise InvalidGraph("order must be positive, got 0")
+        g = cls.__new__(cls)
+        g._adopt(a)
+        return g
 
     @classmethod
     def from_edges(cls, order: int, triples: Iterable[tuple[int, int, float]]) -> "WeightedDigraph":
-        edges: dict[tuple[int, int], float] = {}
-        for u, v, w in triples:
-            if (u, v) in edges:
-                raise InvalidGraph(f"duplicate ordered pair ({u}, {v})")
-            edges[(u, v)] = float(w)
-        return cls(order, edges)
+        """Graph of (u, v, weight) triples; a list, or an array with one triple per row."""
+        table = np.array(triples if isinstance(triples, np.ndarray) else list(triples), dtype=float)
+        rows, cols, weights = table.reshape(-1, 3).T
+        a = _dense(order, rows, cols, weights)
+        # every pair is a vertex pair now, so equal keys mean equal pairs
+        repeated = np.ones(len(rows), dtype=bool)
+        repeated[np.unique(rows * order + cols, return_index=True)[1]] = False
+        raise_first((repeated, lambda i: InvalidGraph(
+            f"duplicate ordered pair ({rows[i]:g}, {cols[i]:g})")))
+        g = cls.__new__(cls)
+        g._adopt(a)
+        return g
+
+    @property
+    def edges(self) -> Mapping[tuple[int, int], float]:
+        """Read-only map from ordered pairs to weights, in row-major order."""
+        if self._edges is None:
+            rows, cols = np.nonzero(self._adjacency)
+            weights = self._adjacency[rows, cols].tolist()
+            edges = dict(zip(zip(rows.tolist(), cols.tolist()), weights))
+            object.__setattr__(self, "_edges", MappingProxyType(edges))
+        return self._edges
 
     def weight(self, u: int, v: int) -> float:
         """Weight of the directed edge u -> v, or 0.0 when absent."""
-        return self.edges.get((u, v), 0.0)
+        if 0 <= u < self.order and 0 <= v < self.order:
+            return float(self._adjacency[u, v])
+        return 0.0
 
     def loop(self, v: int) -> float:
-        return self.edges.get((v, v), 0.0)
+        return self.weight(v, v)
 
     def is_symmetric(self) -> bool:
         """True when w(u, v) == w(v, u) for every ordered pair."""
-        return all(self.edges.get((v, u)) == w for (u, v), w in self.edges.items())
+        return bool(np.array_equal(self._adjacency, self._adjacency.T))
+
+    def __eq__(self, other):
+        if not isinstance(other, WeightedDigraph):
+            return NotImplemented
+        return self.order == other.order and bool(np.array_equal(self._adjacency, other._adjacency))
+
+    def __repr__(self) -> str:
+        return f"WeightedDigraph(order={self.order}, edges={dict(self.edges)!r})"
 
 
 def adjacency_matrix(g: WeightedDigraph) -> np.ndarray:
-    """Dense adjacency matrix; entry (i, j) is the weight of i -> j."""
-    a = np.zeros((g.order, g.order))
-    for (u, v), w in g.edges.items():
-        a[u, v] = w
-    return a
+    """Dense adjacency matrix; entry (i, j) is the weight of i -> j.
+
+    This is the graph's own storage, so it is read-only.
+    """
+    return g._adjacency
 
 
 def degree_matrix(g: WeightedDigraph) -> np.ndarray:
     """Diagonal matrix of degrees d_i = sum_j |a_ij| (loops counted once)."""
-    a = adjacency_matrix(g)
-    return np.diag(np.abs(a).sum(axis=1))
+    return np.diag(np.abs(g._adjacency).sum(axis=1))
 
 
 def _require_symmetric_weights(g: WeightedDigraph) -> None:
-    for (u, v), w in g.edges.items():
-        back = g.edges.get((v, u))
-        if back != w:
-            raise AsymmetricWeights(
-                f"w({u}, {v}) = {w} but w({v}, {u}) = {0.0 if back is None else back}"
-            )
+    a = g._adjacency
+    rows, cols = np.nonzero(a != a.T)
+    if rows.size:
+        u, v = rows[0], cols[0]
+        raise AsymmetricWeights(f"w({u}, {v}) = {a[u, v]} but w({v}, {u}) = {a[v, u]}")
 
 
 def laplacian(g: WeightedDigraph) -> np.ndarray:
     """Laplacian D - A; defined only for symmetric weights."""
     _require_symmetric_weights(g)
-    a = adjacency_matrix(g)
-    return np.diag(np.abs(a).sum(axis=1)) - a
+    return degree_matrix(g) - g._adjacency
 
 
 def signless_laplacian(g: WeightedDigraph) -> np.ndarray:
     """Signless Laplacian D + A; defined only for symmetric weights."""
     _require_symmetric_weights(g)
-    a = adjacency_matrix(g)
-    return np.diag(np.abs(a).sum(axis=1)) + a
+    return degree_matrix(g) + g._adjacency
 
 
 def spectrum(m: np.ndarray) -> np.ndarray:
@@ -128,26 +191,38 @@ def _general_spectrum(m: np.ndarray) -> np.ndarray:
     return np.sort_complex(np.linalg.eigvals(m))
 
 
-def _complex_multisets_close(x: np.ndarray, y: np.ndarray, tol: float) -> bool:
-    # lexicographic order is unstable when real parts nearly tie, so match
-    # each eigenvalue to its nearest unused partner instead
-    remaining = list(y)
-    for value in x:
-        gaps = [abs(value - other) for other in remaining]
-        best = int(np.argmin(gaps))
-        if gaps[best] > tol:
-            return False
-        remaining.pop(best)
-    return True
+def _clusters(z: np.ndarray, radius: float) -> np.ndarray:
+    """Cluster label of each complex point.
+
+    Points are split wherever sorting them along the real or the imaginary
+    axis leaves a gap wider than `radius`, alternating axes until neither
+    splits any cluster further. Points closer than `radius` are never split
+    apart, so every single-linkage cluster at that radius lies within one of
+    these clusters.
+    """
+    labels = np.zeros(len(z), dtype=np.intp)
+    count, unchanged, axis = 1, 0, 0
+    while unchanged < 2:
+        coord = (z.real, z.imag)[axis]
+        order = np.lexsort((coord, labels))
+        cut = np.ones(len(z), dtype=bool)
+        cut[1:] = (np.diff(labels[order]) != 0) | (np.diff(coord[order]) > radius)
+        labels[order] = np.cumsum(cut) - 1
+        unchanged = unchanged + 1 if labels.max() + 1 == count else 0
+        count, axis = labels.max() + 1, 1 - axis
+    return labels
 
 
-def cospectral(a: np.ndarray, b: np.ndarray, tol: float = 1e-9) -> bool:
-    """True when the sorted eigenvalue multisets of a and b match within tol.
+def spectral_gap(a: np.ndarray, b: np.ndarray, tol: float = 1e-9) -> float:
+    """How far apart the eigenvalue multisets of a and b are.
 
-    Symmetric inputs use the symmetric eigensolver; otherwise the general
-    complex spectra are compared after a lexicographic sort. Unitary
-    conjugates of asymmetric adjacency matrices are covered by the general
-    path.
+    Symmetric pairs: the largest difference between the ascending spectra.
+    Otherwise both general spectra are pooled and clustered at radius
+    sqrt(tol) * (1 + max |lambda|), which holds the spread a defective
+    eigenvalue picks up in floating point. The gap is infinite when a cluster
+    holds unequal numbers of eigenvalues of a and of b, and else the largest
+    distance between their means over a cluster: a cluster mean is well
+    conditioned even where its members are not.
     """
     a = np.asarray(a, dtype=float)
     b = np.asarray(b, dtype=float)
@@ -156,14 +231,28 @@ def cospectral(a: np.ndarray, b: np.ndarray, tol: float = 1e-9) -> bool:
             raise NotSquare(f"expected square matrices, got shape {m.shape}")
     if a.shape != b.shape:
         raise OrderMismatch(f"orders differ: {a.shape[0]} vs {b.shape[0]}")
-    symmetric = (
-        np.max(np.abs(a - a.T)) <= SYMMETRY_TOL and np.max(np.abs(b - b.T)) <= SYMMETRY_TOL
-        if a.size
-        else True
-    )
-    if symmetric:
-        return bool(np.all(np.abs(spectrum(a) - spectrum(b)) <= tol))
-    return _complex_multisets_close(_general_spectrum(a), _general_spectrum(b), tol)
+    if not a.size:
+        return 0.0
+    if max(np.max(np.abs(a - a.T)), np.max(np.abs(b - b.T))) <= SYMMETRY_TOL:
+        return float(np.max(np.abs(spectrum(a) - spectrum(b))))
+    z = np.concatenate([np.linalg.eigvals(a), np.linalg.eigvals(b)])
+    labels = _clusters(z, np.sqrt(tol) * (1.0 + np.max(np.abs(z))))
+    side = np.repeat([1.0, -1.0], len(a))  # +1 for the eigenvalues of a, -1 for b
+    if np.any(np.bincount(labels, weights=side) != 0):
+        return float("inf")
+    difference = np.zeros(labels.max() + 1, dtype=complex)
+    np.add.at(difference, labels, side * z)
+    return float(np.max(np.abs(difference) / np.bincount(labels[: len(a)])))
+
+
+def cospectral(a: np.ndarray, b: np.ndarray, tol: float = 1e-9) -> bool:
+    """True when the eigenvalue multisets of a and b match within tol.
+
+    See `spectral_gap` for the comparison. Unitary conjugates of asymmetric
+    adjacency matrices, defective ones included, are covered by the general
+    path.
+    """
+    return spectral_gap(a, b, tol) <= tol
 
 
 def _vertex_signature(a: np.ndarray, v: int) -> tuple:

@@ -4,8 +4,8 @@ A graph document is a JSON object with fields `order` (int), `edges`
 (list of [u, v, weight] triples), optional `partition` ({"cells": [[...],
 ...], "d": [...]}) and optional free-form `metadata`. Vertex indices are
 0-based; fixtures carry a `labels` metadata entry mapping to the 1-based
-labels used in figures. Writing is canonical (sorted edges, plain JSON
-float formatting), so read-write round trips are byte identical.
+labels used in figures. Writing is canonical (edges sorted by (u, v), plain
+JSON float formatting), so read-write round trips are byte identical.
 """
 
 from __future__ import annotations
@@ -13,22 +13,31 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 from importlib import resources
+from itertools import chain
+from operator import itemgetter
 from pathlib import Path
 
-from .errors import ParallelEdges, ParseError
-from .graph import WeightedDigraph
+import numpy as np
+
+from .errors import InvalidGraph, ParallelEdges, ParseError
+from .graph import WeightedDigraph, adjacency_matrix
 from .switching import SeidelPartition
 
 
 @dataclass(frozen=True)
 class GraphDocument:
-    order: int
-    edges: tuple[tuple[int, int, float], ...]
+    """A parsed graph document: the graph, its partition and its metadata."""
+
+    digraph: WeightedDigraph
     partition: SeidelPartition | None = None
     metadata: dict = field(default_factory=dict)
 
+    @property
+    def order(self) -> int:
+        return self.digraph.order
+
     def graph(self) -> WeightedDigraph:
-        return WeightedDigraph.from_edges(self.order, self.edges)
+        return self.digraph
 
     @classmethod
     def from_graph(
@@ -37,23 +46,13 @@ class GraphDocument:
         partition: SeidelPartition | None = None,
         metadata: dict | None = None,
     ) -> "GraphDocument":
-        triples = tuple(sorted((u, v, w) for (u, v), w in g.edges.items()))
-        return cls(g.order, triples, partition, metadata or {})
+        return cls(g, partition, metadata or {})
 
 
-def _parse_document(raw: dict, source: str) -> GraphDocument:
-    if not isinstance(raw, dict):
-        raise ParseError(f"{source}: top level must be an object")
-    try:
-        order = raw["order"]
-        edge_items = raw["edges"]
-    except KeyError as missing:
-        raise ParseError(f"{source}: missing required field {missing}") from None
-    if not isinstance(order, int) or order < 1:
-        raise ParseError(f"{source}: order must be a positive integer")
+def _raise_first_bad_entry(items, order: int, source: str) -> None:
+    """Walk an edge list in document order and raise for its first bad entry."""
     seen: set[tuple[int, int]] = set()
-    edges = []
-    for item in edge_items:
+    for item in items:
         if not isinstance(item, list) or len(item) != 3:
             raise ParseError(f"{source}: edge entries must be [u, v, weight], got {item!r}")
         u, v, w = item
@@ -66,11 +65,50 @@ def _parse_document(raw: dict, source: str) -> GraphDocument:
         seen.add((u, v))
         try:
             w = float(w)
-        except (TypeError, ValueError):
+        except (TypeError, ValueError, OverflowError):
             raise ParseError(f"{source}: edge ({u}, {v}) weight {w!r} is not a number") from None
         if w == 0.0:
             raise ParseError(f"{source}: edge ({u}, {v}) has zero weight")
-        edges.append((u, v, w))
+        if not np.isfinite(w):
+            raise ParseError(f"{source}: edge ({u}, {v}) weight {w!r} is not finite")
+
+
+def _read_graph(items, order: int, source: str) -> WeightedDigraph:
+    """The graph of a document's edge list.
+
+    The list is converted and checked as whole arrays. Only when that fails
+    is it walked entry by entry, to report the first bad entry as a document
+    error; a list that passes the walk fails one of the graph's own checks
+    (a loop of negative weight), which the graph reports.
+    """
+    if not isinstance(items, list):
+        raise ParseError(f"{source}: edges must be a list of [u, v, weight] entries")
+    try:
+        if (
+            set(map(type, items)) <= {list}
+            and set(map(len, items)) <= {3}
+            and set(map(type, map(itemgetter(0), items)))
+            | set(map(type, map(itemgetter(1), items))) <= {int, bool}
+        ):
+            table = np.fromiter(chain.from_iterable(items), dtype=float, count=3 * len(items))
+            return WeightedDigraph.from_edges(order, table.reshape(-1, 3))
+    except (TypeError, ValueError, OverflowError, InvalidGraph):
+        pass
+    _raise_first_bad_entry(items, order, source)
+    return WeightedDigraph.from_edges(order, [tuple(item) for item in items])
+
+
+def _parse_document(raw: dict, source: str) -> GraphDocument:
+    if not isinstance(raw, dict):
+        raise ParseError(f"{source}: top level must be an object")
+    try:
+        order = raw["order"]
+        edge_items = raw["edges"]
+    except KeyError as missing:
+        raise ParseError(f"{source}: missing required field {missing}") from None
+    if not isinstance(order, int) or order < 1:
+        raise ParseError(f"{source}: order must be a positive integer")
+    g = _read_graph(edge_items, order, source)
     partition = None
     if raw.get("partition") is not None:
         p = raw["partition"]
@@ -84,7 +122,7 @@ def _parse_document(raw: dict, source: str) -> GraphDocument:
     metadata = raw.get("metadata") or {}
     if not isinstance(metadata, dict):
         raise ParseError(f"{source}: metadata must be an object")
-    return GraphDocument(order, tuple(edges), partition, metadata)
+    return GraphDocument(g, partition, metadata)
 
 
 def loads_document(text: str, source: str = "<string>") -> GraphDocument:
@@ -101,15 +139,23 @@ def read_document(path: str | Path) -> GraphDocument:
 
 
 def dumps_document(doc: GraphDocument) -> str:
-    """Canonical rendering: sorted edges, one per line, trailing newline."""
+    """Canonical rendering: edges in (u, v) order, one per line, trailing newline."""
     lines = ["{", f'  "order": {doc.order},']
-    edge_lines = [f"    [{u}, {v}, {json.dumps(w)}]" for u, v, w in sorted(doc.edges)]
-    if edge_lines:
-        lines.append('  "edges": [')
-        lines.append(",\n".join(edge_lines))
-        lines.append("  ]" + ("," if doc.partition is not None or doc.metadata else ""))
+    more = "," if doc.partition is not None or doc.metadata else ""
+    a = adjacency_matrix(doc.digraph)
+    rows, cols = np.nonzero(a)  # row-major, so sorted by (u, v)
+    if len(rows):
+        # one string per vertex and per distinct weight, then a single join;
+        # repr is json.dumps on finite floats, and graphs hold no others
+        names = np.array([str(v) for v in range(doc.order)], dtype=object)
+        weights, which = np.unique(a[rows, cols], return_inverse=True)
+        pieces = np.empty((len(rows), 7), dtype=object)
+        pieces[:, 0::2] = ["    [", ", ", ", ", "],\n"]
+        pieces[:, 1], pieces[:, 3] = names[rows], names[cols]
+        pieces[:, 5] = np.array([repr(w) for w in weights.tolist()], dtype=object)[which]
+        lines += ['  "edges": [', "".join(pieces.ravel().tolist())[:-2], "  ]" + more]
     else:
-        lines.append('  "edges": []' + ("," if doc.partition is not None or doc.metadata else ""))
+        lines.append('  "edges": []' + more)
     if doc.partition is not None:
         cells = json.dumps([list(c) for c in doc.partition.cells])
         d = json.dumps(list(doc.partition.d_cell))

@@ -9,27 +9,32 @@ the PSD check still guards direct matrix construction.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
 from .errors import NotPSD, NotSquare, NotSymmetric, ZeroTrace
-from .graph import WeightedDigraph
+from .graph import SYMMETRY_TOL, WeightedDigraph
 from .starlike import SpectralKind, spectral_matrix
 
 TRACE_TOL = 1e-12
-SYMMETRY_TOL = 1e-12
 EIGENVALUE_FLOOR = -1e-9
 
 
 @dataclass(frozen=True, eq=False)
 class DensityMatrix:
-    """Validated quantum state: real symmetric, trace one, PSD."""
+    """Validated quantum state: real symmetric, trace one, PSD.
+
+    `matrix` is a read-only copy of the input, so the spectrum solved once
+    for the PSD check stays valid for `eigenvalues`.
+    """
 
     matrix: np.ndarray
+    _spectrum: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
-        m = np.asarray(self.matrix, dtype=float)
+        m = np.array(self.matrix, dtype=float)
+        m.flags.writeable = False
         object.__setattr__(self, "matrix", m)
         if m.ndim != 2 or m.shape[0] != m.shape[1]:
             raise NotSquare(f"density matrix must be square, got shape {m.shape}")
@@ -38,8 +43,10 @@ class DensityMatrix:
         trace = float(np.trace(m))
         if abs(trace - 1.0) > TRACE_TOL:
             raise ZeroTrace(f"trace must be 1, got {trace}")
-        if float(np.linalg.eigvalsh(m)[0]) < EIGENVALUE_FLOOR:
+        spectrum = np.linalg.eigvalsh(m)
+        if float(spectrum[0]) < EIGENVALUE_FLOOR:
             raise NotPSD("density matrix has an eigenvalue below -1e-9")
+        object.__setattr__(self, "_spectrum", spectrum)
 
     @property
     def order(self) -> int:
@@ -47,7 +54,7 @@ class DensityMatrix:
 
     def eigenvalues(self) -> np.ndarray:
         """Ascending spectrum with tiny negatives clamped to zero."""
-        return np.maximum(np.linalg.eigvalsh(self.matrix), 0.0)
+        return np.maximum(self._spectrum, 0.0)
 
 
 def density_from_graph(g: WeightedDigraph, kind: SpectralKind) -> DensityMatrix:

@@ -1,10 +1,10 @@
 """Laplacian- and signless-Laplacian-cospectral pairs via switching.
 
-The pipeline lifts a graph G to a graph H whose adjacency matrix equals
-L(G) or Q(G) (every vertex gains a loop holding the diagonal), switches H,
-and projects the switched adjacency matrix back to a graph G'. Since the
-switch is a unitary conjugation, L(G') (resp. Q(G')) shares its spectrum
-with L(G) (resp. Q(G)).
+The pipeline switches the matrix M = L(G) or Q(G), the adjacency matrix of
+the lifted graph H (every vertex gains a loop holding the diagonal), and
+projects the switched matrix back to a graph G'. Since the switch is a
+unitary conjugation, L(G') (resp. Q(G')) shares its spectrum with L(G)
+(resp. Q(G)).
 
 The projection is only well defined when the switched matrix is realizable
 as a Laplacian again; the starlike conditions checked here are sufficient
@@ -29,12 +29,18 @@ from .errors import (
     OddCategory2Count,
     OrderMismatch,
     VerificationFailed,
+    raise_first,
 )
-from .graph import WeightedDigraph, cospectral, laplacian, signless_laplacian
-from .switching import SeidelPartition, _apply_switch, switching_matrix, validate_seidel
+from .graph import WeightedDigraph, adjacency_matrix, cospectral, laplacian, signless_laplacian
+from .switching import (
+    CONJUGATION_TOL,
+    SeidelPartition,
+    _Partitioned,
+    switching_matrix,
+    validate_seidel,
+)
 
 REALIZABILITY_TOL = 1e-9
-CONJUGATION_TOL = 1e-12
 
 
 class SpectralKind(enum.Enum):
@@ -65,16 +71,16 @@ class StarlikeCellProfile:
     r: int
 
 
-def _direction_weight(
-    g: WeightedDigraph, pairs: list[tuple[int, int]], cell_index: int, error: type
-) -> float:
-    """The single weight carried by all `pairs`, or 0.0 when none exist."""
-    weights = {g.weight(u, v) for u, v in pairs}
-    if not weights or weights == {0.0}:
-        return 0.0
-    if 0.0 in weights or len(weights) > 1:
-        raise error(f"cell {cell_index}: weights {sorted(weights)} are not uniform")
-    return weights.pop()
+def _uniform_weights(blocks: _Partitioned, x: np.ndarray, mask: np.ndarray):
+    """Per cell, the single weight that the entries of the hub x cell-vertex
+    array `x` under `mask` carry (0.0 when none is nonzero), and whether they
+    fail to carry a single one."""
+    nonzero = blocks.per_cell(np.logical_or, np.any(mask & (x != 0), axis=0), axis=0)
+    zero = blocks.per_cell(np.logical_or, np.any(mask & (x == 0), axis=0), axis=0)
+    hi = np.where(mask, x, -np.inf).max(axis=0, initial=-np.inf)
+    lo = np.where(mask, x, np.inf).min(axis=0, initial=np.inf)
+    hi, lo = blocks.per_cell(np.maximum, hi, axis=0), blocks.per_cell(np.minimum, lo, axis=0)
+    return np.where(nonzero, hi, 0.0), nonzero & (zero | (hi != lo))
 
 
 def validate_starlike(g: WeightedDigraph, part: SeidelPartition) -> list[StarlikeCellProfile]:
@@ -86,83 +92,67 @@ def validate_starlike(g: WeightedDigraph, part: SeidelPartition) -> list[Starlik
     and its complement, again with one weight per direction.
     """
     report = validate_seidel(g, part)
-    for i, ci in enumerate(part.cells):
-        for j, cj in enumerate(part.cells):
-            if i == j:
-                continue
-            for u in ci:
-                for v in cj:
-                    if g.weight(u, v) != 0.0:
-                        raise CrossCellEdge(f"edge ({u}, {v}) joins cell {i} to cell {j}")
+    if not part.cells:
+        return []
+    blocks = _Partitioned(adjacency_matrix(g), part.cells, part.d_cell)
+    k, m, sizes, d = len(part.cells), blocks.m, blocks.sizes, part.d_cell
+    cell_of = np.repeat(np.arange(k), sizes)  # cell of each cell vertex, in partition order
+    cross = (blocks.p[:m, :m] != 0) & (cell_of[:, None] != cell_of)
+    if cross.any():
+        rows, cols = np.nonzero(cross)
+        j = np.lexsort((cols, rows, cell_of[cols], cell_of[rows]))[0]
+        u, v = blocks.perm[rows[j]], blocks.perm[cols[j]]
+        i, i2 = cell_of[rows[j]], cell_of[cols[j]]
+        raise CrossCellEdge(f"edge ({u}, {v}) joins cell {i} to cell {i2}")
 
-    profiles = []
-    for i, cell in enumerate(part.cells):
-        p, q, r = report.counts[i]
-        cat1 = [v for v in part.d_cell if report.categories[(i, v)] == 1]
-        cat2 = [v for v in part.d_cell if report.categories[(i, v)] == 2]
+    category = np.array([[report.categories[(i, v)] for v in d] for i in range(k)]).reshape(k, -1)
+    outgoing, incoming = blocks.p[m:, :m], blocks.p[:m, m:].T  # hub x cell vertex
+    attached = (outgoing != 0) | (incoming != 0)
+    cat1, cat2 = (np.repeat((category == c).T, sizes, axis=1) for c in (1, 2))
+    # every category-2 hub must attach to the half of its cell's first one,
+    # or to the complement, as many to each
+    reference = np.zeros(m, dtype=bool)
+    if d:
+        reference = attached[np.argmax(category == 2, axis=1)[cell_of], np.arange(m)]
+    same = blocks.per_cell(np.logical_and, attached == reference).T & (category == 2)
+    flipped = blocks.per_cell(np.logical_and, attached != reference).T & (category == 2)
+    q = np.count_nonzero(category == 2, axis=1)
+    broken = (q > 0) & (np.any((category == 2) & ~(same | flipped), axis=1) | ~flipped.any(axis=1))
+    weights, faults = zip(*(_uniform_weights(blocks, x, mask) for x, mask in (
+        (outgoing, cat1), (incoming, cat1), (outgoing, cat2 & attached), (incoming, cat2 & attached)
+    )))
 
-        w_plus = _direction_weight(
-            g, [(v, u) for v in cat1 for u in cell], i, NonuniformCategory1Weights
-        )
-        w_minus = _direction_weight(
-            g, [(u, v) for v in cat1 for u in cell], i, NonuniformCategory1Weights
-        )
+    def nonuniform(error, x, mask):
+        def make(i):
+            s, n = blocks.starts[i], sizes[i]
+            values = x[:, s : s + n][mask[:, s : s + n]]
+            return error(f"cell {i}: weights {np.unique(values).tolist()} are not uniform")
 
-        if q % 2 != 0:
-            raise OddCategory2Count(f"cell {i} has {q} category-2 hub vertices")
-        halves: dict[frozenset[int], list[int]] = {}
-        for v in cat2:
-            attached = frozenset(
-                u for u in cell if g.weight(v, u) != 0.0 or g.weight(u, v) != 0.0
+        return make
+
+    def not_halves(i):
+        s, n = blocks.starts[i], sizes[i]
+        halves = len(np.unique(attached[category[i] == 2, s : s + n], axis=0))
+        if halves != 2:
+            return NonComplementaryHalves(
+                f"cell {i}: category-2 vertices use {halves} distinct halves"
             )
-            halves.setdefault(attached, []).append(v)
-        if halves:
-            if len(halves) != 2:
-                raise NonComplementaryHalves(
-                    f"cell {i}: category-2 vertices use {len(halves)} distinct halves"
-                )
-            (s1, vs1), (s2, vs2) = halves.items()
-            if s1 | s2 != set(cell) or s1 & s2:
-                raise NonComplementaryHalves(f"cell {i}: attachment halves are not complementary")
-            if len(vs1) != len(vs2):
-                raise NonComplementaryHalves(
-                    f"cell {i}: halves carry {len(vs1)} and {len(vs2)} vertices"
-                )
-        w_half_plus = _direction_weight(
-            g,
-            [(v, u) for att, vs in halves.items() for v in vs for u in att],
-            i,
-            NonuniformCategory2Weights,
-        )
-        w_half_minus = _direction_weight(
-            g,
-            [(u, v) for att, vs in halves.items() for v in vs for u in att],
-            i,
-            NonuniformCategory2Weights,
-        )
-        profiles.append(
-            StarlikeCellProfile(
-                cell_index=i,
-                w_plus=w_plus,
-                w_minus=w_minus,
-                w_half_plus=w_half_plus,
-                w_half_minus=w_half_minus,
-                p=p,
-                q=q,
-                r=r,
-            )
-        )
-    return profiles
+        return NonComplementaryHalves(f"cell {i}: attachment halves are not complementary")
 
-
-def _graph_from_adjacency(a: np.ndarray) -> WeightedDigraph:
-    n = a.shape[0]
-    edges = {}
-    for u in range(n):
-        for v in range(n):
-            if a[u, v] != 0.0:
-                edges[(u, v)] = float(a[u, v])
-    return WeightedDigraph(n, edges)
+    raise_first(
+        (faults[0], nonuniform(NonuniformCategory1Weights, outgoing, cat1)),
+        (faults[1], nonuniform(NonuniformCategory1Weights, incoming, cat1)),
+        (q % 2 != 0, lambda i: OddCategory2Count(f"cell {i} has {q[i]} category-2 hub vertices")),
+        (broken, not_halves),
+        (same.sum(axis=1) != flipped.sum(axis=1), lambda i: NonComplementaryHalves(
+            f"cell {i}: halves carry {same[i].sum()} and {flipped[i].sum()} vertices")),
+        (faults[2], nonuniform(NonuniformCategory2Weights, outgoing, cat2 & attached)),
+        (faults[3], nonuniform(NonuniformCategory2Weights, incoming, cat2 & attached)),
+    )
+    return [
+        StarlikeCellProfile(i, *(float(w[i]) for w in weights), *report.counts[i])
+        for i in range(k)
+    ]
 
 
 def lift_graph(g: WeightedDigraph, kind: SpectralKind) -> WeightedDigraph:
@@ -172,7 +162,28 @@ def lift_graph(g: WeightedDigraph, kind: SpectralKind) -> WeightedDigraph:
     d_i -/+ a_ii; off-diagonal entries become -a_ij (Laplacian) or +a_ij.
     Requires symmetric weights, like the Laplacians themselves.
     """
-    return _graph_from_adjacency(spectral_matrix(g, kind))
+    return WeightedDigraph.from_adjacency(spectral_matrix(g, kind))
+
+
+def _project(m: np.ndarray, kind: SpectralKind) -> np.ndarray:
+    """Adjacency matrix of the graph G' with L(G') (or Q(G')) = m."""
+    if not np.array_equal(m, m.T):
+        raise AsymmetricWeights("projection needs a symmetric adjacency matrix")
+    sign = 1.0 if kind is SpectralKind.SIGNLESS else -1.0
+    diag = np.diagonal(m)
+    out = sign * m + 0.0  # + 0.0 turns the -0.0 of sign * 0.0 into 0.0
+    np.fill_diagonal(out, 0.0)
+    off_sums = np.abs(out).sum(axis=1)
+    tol = REALIZABILITY_TOL * (1.0 + np.max(np.abs(m)))
+    if kind is SpectralKind.SIGNLESS:
+        loops = (diag - off_sums) / 2.0
+        raise_first((loops < -tol, lambda v: NegativeLoopWeight(
+            f"vertex {v}: diagonal {diag[v]} below off-diagonal sum {off_sums[v]}")))
+        np.fill_diagonal(out, np.where(loops > tol, loops, 0.0))
+    else:
+        raise_first((np.abs(diag - off_sums) > tol, lambda v: NotRealizable(
+            f"vertex {v}: diagonal {diag[v]} != off-diagonal absolute sum {off_sums[v]}")))
+    return out
 
 
 def project_graph(h: WeightedDigraph, kind: SpectralKind) -> WeightedDigraph:
@@ -185,35 +196,7 @@ def project_graph(h: WeightedDigraph, kind: SpectralKind) -> WeightedDigraph:
     itself), so a_ii must equal the off-diagonal absolute row sum exactly
     and G' is loopless.
     """
-    if not h.is_symmetric():
-        raise AsymmetricWeights("projection needs a symmetric adjacency matrix")
-    n = h.order
-    edges: dict[tuple[int, int], float] = {}
-    sign = 1.0 if kind is SpectralKind.SIGNLESS else -1.0
-    for (u, v), w in h.edges.items():
-        if u != v:
-            edges[(u, v)] = sign * w
-    off_sums = np.zeros(n)
-    for (u, v), w in h.edges.items():
-        if u != v:
-            off_sums[u] += abs(w)
-    tol = REALIZABILITY_TOL * (1.0 + max((abs(w) for w in h.edges.values()), default=0.0))
-    for v in range(n):
-        diag = h.loop(v)
-        if kind is SpectralKind.SIGNLESS:
-            loop = float(diag - off_sums[v]) / 2.0
-            if loop < -tol:
-                raise NegativeLoopWeight(
-                    f"vertex {v}: diagonal {diag} below off-diagonal sum {off_sums[v]}"
-                )
-            if loop > tol:
-                edges[(v, v)] = loop
-        else:
-            if abs(diag - off_sums[v]) > tol:
-                raise NotRealizable(
-                    f"vertex {v}: diagonal {diag} != off-diagonal absolute sum {off_sums[v]}"
-                )
-    return WeightedDigraph(n, edges)
+    return WeightedDigraph.from_adjacency(_project(adjacency_matrix(h), kind))
 
 
 def lq_switch(
@@ -225,13 +208,14 @@ def lq_switch(
 ) -> WeightedDigraph:
     """Produce G' sharing the Laplacian (or signless-Laplacian) spectrum of G.
 
-    Runs lift -> switch -> project. The lifted graph is switched directly
-    (lifting adds unequal loops to the hub vertices, so H itself usually
-    fails the regularity validation even when G passes; the transform does
-    not need it). In the Laplacian case the input's loop weights are carried
-    onto G': the Laplacian of a positively-looped graph never sees its loops,
-    so this is the unique choice that both satisfies L(G') = A(H^pi) and
-    keeps the loop diagonal invariant.
+    Switches the spectral matrix M = L(G) or Q(G) directly, M' = U M U, and
+    projects M' back to a graph. M itself is not validated (its diagonal
+    puts unequal loops on the hub vertices, so it usually fails the
+    regularity validation even when G passes; the transform does not need
+    it). In the Laplacian case the input's loop weights are carried onto
+    G': the Laplacian of a positively-looped graph never sees its loops, so
+    this is the unique choice that both satisfies L(G') = M' and keeps the
+    loop diagonal invariant.
 
     force=True skips the starlike validation and instead checks the claimed
     cospectrality after the fact, for inputs that switch cleanly without
@@ -241,23 +225,18 @@ def lq_switch(
         validate_starlike(g, part)
     else:
         part.check_cover(g.order)
-    h = lift_graph(g, kind)
-    h_pi = _apply_switch(h, part)
-    result = project_graph(h_pi, kind)
+    m = spectral_matrix(g, kind)
+    out = _project(_Partitioned(m, part.cells, part.d_cell).conjugated(), kind)
     if kind is SpectralKind.LAPLACIAN:
-        edges = {key: w for key, w in result.edges.items()}
-        for v in range(g.order):
-            if g.loop(v) != 0.0:
-                edges[(v, v)] = g.loop(v)
-        result = WeightedDigraph(g.order, edges)
+        np.fill_diagonal(out, np.diagonal(adjacency_matrix(g)))
+    result = WeightedDigraph.from_adjacency(out)
     if verify:
         u = switching_matrix(part, g.order)
-        m = spectral_matrix(g, kind)
         gap = float(np.max(np.abs(spectral_matrix(result, kind) - u @ m @ u)))
         if gap > CONJUGATION_TOL:
             raise VerificationFailed(f"switched matrix deviates from U M U by {gap}")
     if force or verify:
-        if not cospectral(spectral_matrix(g, kind), spectral_matrix(result, kind), 1e-9):
+        if not cospectral(m, spectral_matrix(result, kind), 1e-9):
             raise VerificationFailed("switched graph lost cospectrality")
     return result
 
@@ -266,4 +245,6 @@ def loop_weights_preserved(g: WeightedDigraph, g_prime: WeightedDigraph) -> bool
     """True when every loop weight matches exactly between the two graphs."""
     if g.order != g_prime.order:
         raise OrderMismatch(f"orders differ: {g.order} vs {g_prime.order}")
-    return all(g.loop(v) == g_prime.loop(v) for v in range(g.order))
+    return bool(
+        np.array_equal(np.diagonal(adjacency_matrix(g)), np.diagonal(adjacency_matrix(g_prime)))
+    )

@@ -3,24 +3,27 @@
 The switching operator on one cell of n vertices is U_n = (2/n)J_n - I_n,
 a symmetric unitary involution. For a partitioned graph the full operator is
 the block-diagonal direct sum of the cell operators with an identity on the
-hub set D, and switching is the conjugation A |-> U A U. The transform is
-realized edge-wise here; conjugation is only used as a cross-check.
-
-Edge-wise realization, for each cell C of size n:
-  * attachments of a hub vertex v, per direction: the weight vector x over C
-    becomes (2s/n)j - x where s = sum(x). A half-attached vector with equal
-    weights flips to the complementary half; a constant fully-attached vector
-    is fixed; an empty vector stays empty.
-  * every directed cross block between two cells is conjugated by the two
-    cell operators. For a block with constant row sums r this equals
-    B + (2r/n)J - (2/m)K, with K broadcasting the column sums, so no dense
-    multiplication is needed.
-  * everything inside a cell (loops included) and inside D is untouched.
+hub set D, and switching is the conjugation A |-> U A U. Since
+U = 2P - I, with P the projector that averages over each cell and fixes D,
+U A U = A - 2PA - 2AP + 4PAP, and the transform is computed block by block
+from cell sums of the dense adjacency matrix:
+  * a hub row or column over a cell C of size n: the weight vector x over C
+    becomes 2 mean(x) - x. A half-attached vector with equal weights flips
+    to the complementary half; a constant fully-attached vector is fixed; an
+    empty vector stays empty.
+  * a cross block B from a cell of size m to a cell of size n, with row sums
+    r, column sums c and total S, becomes
+    B - (2/n) r 1' - (2/m) 1 c' + (4S/mn) J.
+  * cell interiors (loops included) and D x D are copied, never recomputed,
+    so rounding cannot create or remove an edge there. U_C B U_C = B holds
+    for an interior B exactly when its signed row and column sums are
+    constant, which validation checks.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import chain
 from typing import Sequence
 
 import numpy as np
@@ -34,6 +37,7 @@ from .errors import (
     NotRegularInduced,
     UnequalWeights,
     VerificationFailed,
+    raise_first,
 )
 from .graph import WeightedDigraph, adjacency_matrix, cospectral
 
@@ -113,13 +117,11 @@ class SeidelOperator:
 
     def matrix(self) -> np.ndarray:
         """Dense block-diagonal matrix in the partition's vertex ordering."""
-        u = np.zeros((self.order, self.order))
+        u = np.eye(self.order)
         pos = 0
         for n in self.block_sizes:
             u[pos : pos + n, pos : pos + n] = seidel_matrix(n)
             pos += n
-        for i in range(pos, pos + self.identity_size):
-            u[i, i] = 1.0
         return u
 
 
@@ -146,14 +148,9 @@ def block_seidel(part: SeidelPartition) -> SeidelOperator:
 def switching_matrix(part: SeidelPartition, order: int) -> np.ndarray:
     """Switching operator in graph vertex order (not partition order)."""
     part.check_cover(order)
-    u = np.zeros((order, order))
+    u = np.eye(order)
     for cell in part.cells:
-        n = len(cell)
-        for a in cell:
-            for b in cell:
-                u[a, b] = 2.0 / n - (1.0 if a == b else 0.0)
-    for v in part.d_cell:
-        u[v, v] = 1.0
+        u[np.ix_(cell, cell)] = seidel_matrix(len(cell))
     return u
 
 
@@ -163,23 +160,25 @@ def switch_cross_block(a: np.ndarray) -> np.ndarray:
     Expanding (2/m J - I) A (2/n J - I) with row sums fixed at r gives
     A + (2r/n)J - (2/m)K exactly, where K broadcasts the column sums of A.
     The column-sum term does not collapse to a multiple of J unless the
-    column sums are constant too, so it is kept explicit.
+    column sums are constant too. This runs the switch's own cross-block
+    code on a two-cell matrix holding A.
     """
     a = np.asarray(a, dtype=float)
     m, n = a.shape
     row_sums = a.sum(axis=1)
-    r = row_sums.mean()
-    if np.max(np.abs(row_sums - r)) > ROW_SUM_TOL:
+    if np.max(np.abs(row_sums - row_sums.mean())) > ROW_SUM_TOL:
         raise NonConstantRowSum(f"row sums vary: {row_sums}")
-    col_sums = a.sum(axis=0)
-    return a + (2.0 * r / n) - (2.0 / m) * col_sums[np.newaxis, :]
+    full = np.zeros((m + n, m + n))
+    full[:m, m:] = a
+    return _Partitioned(full, (range(m), range(m, m + n)), ()).conjugated()[:m, m:]
 
 
 def flip_half_pattern(x: Sequence[float]) -> np.ndarray:
     """Complement-flip a vector that is half zeros, half one constant c.
 
     Returns c*j - x, which is what the cell operator does to such a vector:
-    the constant moves onto the previously empty half.
+    the constant moves onto the previously empty half. This runs the
+    switch's own hub-row code on a matrix whose one hub carries x.
     """
     x = np.asarray(x, dtype=float)
     if x.ndim != 1 or len(x) % 2 != 0:
@@ -187,145 +186,143 @@ def flip_half_pattern(x: Sequence[float]) -> np.ndarray:
     nonzero = x[x != 0]
     if len(nonzero) != len(x) // 2 or len(set(nonzero.tolist())) != 1:
         raise NotHalfAndHalf("vector is not half zeros and half one repeated constant")
-    c = nonzero[0]
-    return c - x
+    n = len(x)
+    full = np.zeros((n + 1, n + 1))
+    full[n, :n] = x
+    return _Partitioned(full, (range(n),), (n,)).conjugated()[n, :n]
 
 
-def _attachment_vector(g: WeightedDigraph, v: int, cell: tuple[int, ...], outgoing: bool) -> np.ndarray:
-    if outgoing:
-        return np.array([g.weight(v, u) for u in cell])
-    return np.array([g.weight(u, v) for u in cell])
+class _Partitioned:
+    """A square matrix permuted into partition order.
+
+    The cells become consecutive diagonal blocks and D the trailing one, so
+    every per-cell quantity is one `reduceat` over whole rows or columns.
+    `cells` and `d` are vertex sequences that cover the matrix; a cell of one
+    vertex behaves like a vertex of D, since U_1 = I.
+    """
+
+    def __init__(self, a: np.ndarray, cells, d):
+        self.sizes = np.array([len(c) for c in cells], dtype=np.intp)
+        self.starts = np.cumsum(self.sizes) - self.sizes
+        self.m = int(self.sizes.sum())  # cells fill [0, m), D the rest
+        self.perm = np.fromiter(chain(*cells, d), dtype=np.intp, count=self.m + len(d))
+        self.p = a[np.ix_(self.perm, self.perm)]
+
+    def per_cell(self, ufunc, x: np.ndarray, axis: int = 1) -> np.ndarray:
+        """`ufunc` reduced over each cell's columns (axis 1) or rows (axis 0)."""
+        return ufunc.reduceat(x, self.starts, axis=axis)
+
+    def conjugated(self) -> np.ndarray:
+        """U A U, in the matrix's own vertex order."""
+        p, m, sizes = self.p, self.m, self.sizes
+        out = p.copy()
+        if m:
+            # twice the mean of each row over each cell, and of each column
+            rows2 = 2.0 * self.per_cell(np.add, p[:, :m]) / sizes
+            cols2 = 2.0 * self.per_cell(np.add, p[:m], axis=0) / sizes[:, None]
+            out[m:, :m] = np.repeat(rows2[m:], sizes, axis=1) - p[m:, :m]
+            out[:m, m:] = np.repeat(cols2[:, m:], sizes, axis=0) - p[:m, m:]
+            # cross blocks; four[i, j] = 4 S_ij / (m_i n_j)
+            four = 2.0 * self.per_cell(np.add, rows2[:m], axis=0) / sizes[:, None]
+            out[:m, :m] -= np.repeat(rows2[:m], sizes, axis=1)
+            out[:m, :m] -= np.repeat(cols2[:, :m], sizes, axis=0)
+            out[:m, :m] += np.repeat(np.repeat(four, sizes, axis=0), sizes, axis=1)
+            for s, n in zip(self.starts, sizes):
+                out[s : s + n, s : s + n] = p[s : s + n, s : s + n]
+        result = np.empty_like(out)
+        result[np.ix_(self.perm, self.perm)] = out
+        return result
 
 
-def _induced_block(g: WeightedDigraph, part_vertices: tuple[int, ...]) -> np.ndarray:
-    k = len(part_vertices)
-    b = np.zeros((k, k))
-    for i, u in enumerate(part_vertices):
-        for j, v in enumerate(part_vertices):
-            b[i, j] = g.weight(u, v)
-    return b
-
-
-def _weights_equal(values: np.ndarray) -> bool:
-    scale = 1.0 + np.max(np.abs(values))
-    return np.max(values) - np.min(values) <= WEIGHT_EQ_TOL * scale
+def _equal_within(values: np.ndarray, starts) -> np.ndarray:
+    """For each segment of `values` (one begins at each of `starts`), whether
+    its entries are equal within WEIGHT_EQ_TOL relative to 1 + max |entry|."""
+    spread = np.maximum.reduceat(values, starts) - np.minimum.reduceat(values, starts)
+    return spread <= WEIGHT_EQ_TOL * (1.0 + np.maximum.reduceat(np.abs(values), starts))
 
 
 def validate_seidel(g: WeightedDigraph, part: SeidelPartition) -> CategoryReport:
     """Check the four switching-graph conditions and classify hub vertices.
 
     (a) the parts partition the vertex set, (b) the subgraphs induced by each
-    cell and by D are regular in absolute weight (rows and columns), (c) each
-    hub vertex is adjacent to 0, n/2 or n vertices of every cell, with equal
-    weights per direction in the half-attached case, (d) parallel edges only
-    occur as oppositely oriented pairs, which the edge map guarantees.
+    cell and by D are regular, in signed and in absolute weight, over rows
+    and over columns, (c) each hub vertex is adjacent to 0, n/2 or n vertices
+    of every cell, with equal weights per direction in the half-attached
+    case, (d) parallel edges only occur as oppositely oriented pairs, which
+    the graph model guarantees.
     """
     part.check_cover(g.order)
-    for label, vertices in [(f"cell {i}", c) for i, c in enumerate(part.cells)] + [
-        ("D", part.d_cell)
-    ]:
-        if len(vertices) < 2:
-            continue
-        block = _induced_block(g, vertices)
-        absolute = np.abs(block)
-        if not _weights_equal(absolute.sum(axis=1)) or not _weights_equal(absolute.sum(axis=0)):
-            raise NotRegularInduced(f"induced subgraph on {label} is not regular")
+    blocks = _Partitioned(adjacency_matrix(g), part.cells, part.d_cell)
+    m, d, order = blocks.m, part.d_cell, g.order
+    # (b) for all parts at once, the cells and then D: a part's interior row
+    # (column) sums are the sums of its rows (columns) over its own vertices
+    starts = blocks.starts.tolist() + ([m] if d else [])
+    part_of = np.repeat(np.arange(len(starts)), np.diff(starts + [order]))
+    irregular = np.zeros(len(starts), dtype=bool)
+    for weights in (np.abs(blocks.p), blocks.p):
+        rows = np.add.reduceat(weights, starts, axis=1)[np.arange(order), part_of]
+        cols = np.add.reduceat(weights, starts, axis=0)[part_of, np.arange(order)]
+        irregular |= ~(_equal_within(rows, starts) & _equal_within(cols, starts))
+    labels = [f"cell {i}" for i in range(len(part.cells))] + ["D"]
+    raise_first((irregular, lambda i: NotRegularInduced(
+        f"induced subgraph on {labels[i]} is not regular")))
+    if not part.cells:
+        return CategoryReport(categories={}, counts=())
+    # hub x cell-vertex weights per direction; per-cell results are cell x hub,
+    # so that raveling them walks cells first and then hubs, as the checks do
+    outgoing, incoming = blocks.p[m:, :m], blocks.p[:m, m:].T
+    attached = (outgoing != 0) | (incoming != 0)
+    sizes = blocks.sizes[:, None]
+    count = blocks.per_cell(np.add, attached.astype(np.intp)).T
+    category = np.select([count == 0, count == sizes, 2 * count == sizes], [3, 1, 2], 0)
 
-    categories: dict[tuple[int, int], int] = {}
-    counts = []
-    for i, cell in enumerate(part.cells):
-        n = len(cell)
-        p = q = r = 0
-        for v in part.d_cell:
-            out_vec = _attachment_vector(g, v, cell, outgoing=True)
-            in_vec = _attachment_vector(g, v, cell, outgoing=False)
-            attached = (out_vec != 0) | (in_vec != 0)
-            count = int(attached.sum())
-            if count == 0:
-                categories[(i, v)] = 3
-                r += 1
-            elif count == n:
-                categories[(i, v)] = 1
-                p += 1
-            elif 2 * count == n:
-                for name, vec in (("outgoing", out_vec), ("incoming", in_vec)):
-                    present = vec != 0
-                    if not present.any():
-                        continue
-                    if not np.array_equal(present, attached):
-                        raise UnequalWeights(
-                            f"hub {v} / cell {i}: {name} edges cover only part of the attachment"
-                        )
-                    if not _weights_equal(vec[present]):
-                        raise UnequalWeights(
-                            f"hub {v} / cell {i}: unequal {name} weights {vec[present]}"
-                        )
-                categories[(i, v)] = 2
-                q += 1
-            else:
-                raise BadAdjacencyCount(
-                    f"hub {v} is adjacent to {count} vertices of cell {i}; "
-                    f"allowed counts are 0, {n} or n/2"
-                )
-        counts.append((p, q, r))
+    def fault(error, text, weights=outgoing):
+        def make(j):
+            i, h = divmod(j, len(d))
+            s, n = blocks.starts[i], blocks.sizes[i]
+            row = weights[h, s : s + n]
+            return error(text.format(v=d[h], i=i, count=count[i, h], n=n, w=row[row != 0]))
+
+        return make
+
+    checks = [((category == 0).ravel(), fault(BadAdjacencyCount,
+        "hub {v} is adjacent to {count} vertices of cell {i}; allowed counts are 0, {n} or n/2"))]
+    for name, weights in (("outgoing", outgoing), ("incoming", incoming)):
+        present = weights != 0
+        hi = blocks.per_cell(np.maximum, np.where(present, weights, -np.inf)).T
+        lo = blocks.per_cell(np.minimum, np.where(present, weights, np.inf)).T
+        scale = 1.0 + blocks.per_cell(np.maximum, np.abs(weights)).T
+        spans = (category == 2) & (hi > -np.inf)  # half-attached, with edges this way
+        partial = spans & blocks.per_cell(np.logical_or, present != attached).T
+        checks += [
+            (partial.ravel(), fault(UnequalWeights,
+                f"hub {{v}} / cell {{i}}: {name} edges cover only part of the attachment")),
+            ((spans & (hi - lo > WEIGHT_EQ_TOL * scale)).ravel(), fault(UnequalWeights,
+                f"hub {{v}} / cell {{i}}: unequal {name} weights {{w}}", weights)),
+        ]
+    raise_first(*checks)
+    categories = {(i, v): c for i, row in enumerate(category.tolist()) for v, c in zip(d, row)}
+    counts = zip(*(np.count_nonzero(category == c, axis=1).tolist() for c in (1, 2, 3)))
     return CategoryReport(categories=categories, counts=tuple(counts))
-
-
-def _apply_switch(g: WeightedDigraph, part: SeidelPartition) -> WeightedDigraph:
-    """Edge-wise switching transform; assumes the partition covers g."""
-    edges = dict(g.edges)
-
-    def put(key: tuple[int, int], w: float) -> None:
-        if w == 0.0:
-            edges.pop(key, None)
-        else:
-            edges[key] = float(w)
-
-    for cell in part.cells:
-        n = len(cell)
-        for v in part.d_cell:
-            for outgoing in (True, False):
-                x = _attachment_vector(g, v, cell, outgoing)
-                if not x.any():
-                    continue
-                w = (2.0 * x.sum() / n) - x
-                for u, weight in zip(cell, w):
-                    put((v, u) if outgoing else (u, v), weight)
-
-    for i, ci in enumerate(part.cells):
-        for j, cj in enumerate(part.cells):
-            if i == j:
-                continue
-            block = np.array([[g.weight(u, v) for v in cj] for u in ci])
-            if not block.any():
-                continue
-            new_block = switch_cross_block(block)
-            for a, u in enumerate(ci):
-                for b, v in enumerate(cj):
-                    put((u, v), new_block[a, b])
-
-    return WeightedDigraph(g.order, edges)
 
 
 def switch(g: WeightedDigraph, part: SeidelPartition, verify: bool = False) -> WeightedDigraph:
     """Switching transform G -> G^pi; the result is cospectral with G.
 
-    Validates the input first. Cross blocks between cells must carry
-    constant row sums for the closed-form conjugation (NonConstantRowSum
-    otherwise; the validation itself places no condition on them). With
-    verify=True the edge-wise result is checked against the conjugation
+    Validates the input first; cross blocks between cells may be arbitrary.
+    With verify=True the result is checked against the dense conjugation
     U A U (max deviation 1e-12) and the two adjacency spectra are compared;
     meant for tests, not production runs.
     """
     validate_seidel(g, part)
-    result = _apply_switch(g, part)
+    a = adjacency_matrix(g)
+    result = WeightedDigraph.from_adjacency(_Partitioned(a, part.cells, part.d_cell).conjugated())
     if verify:
         u = switching_matrix(part, g.order)
-        a = adjacency_matrix(g)
         expected = u @ a @ u
         gap = float(np.max(np.abs(adjacency_matrix(result) - expected)))
         if gap > CONJUGATION_TOL:
-            raise VerificationFailed(f"edge-wise switch deviates from U A U by {gap}")
+            raise VerificationFailed(f"block switch deviates from U A U by {gap}")
         # the conjugation identity already forces equal spectra; the numeric
         # comparison is only well conditioned for symmetric matrices
         if np.max(np.abs(a - a.T)) <= CONJUGATION_TOL:

@@ -2,7 +2,7 @@
 
 import numpy as np
 import pytest
-from conftest import random_seidel_instance, random_starlike_instance
+from conftest import char_poly_exact, random_seidel_instance, random_starlike_instance
 
 from seidelkit import (
     WeightedDigraph,
@@ -13,7 +13,9 @@ from seidelkit import (
     laplacian,
     seidel_matrix,
     signless_laplacian,
+    spectral_gap,
     spectrum,
+    switch,
 )
 from seidelkit.errors import (
     AsymmetricWeights,
@@ -26,6 +28,8 @@ from seidelkit.errors import (
 
 K2 = WeightedDigraph.from_edges(2, [(0, 1, 1.0), (1, 0, 1.0)])
 P3 = WeightedDigraph.from_edges(3, [(0, 1, 1), (1, 0, 1), (1, 2, 1), (2, 1, 1)])
+STREAM_DRAWS = 2000  # random switching graphs drawn for the cospectrality streams
+PERTURBED_DRAWS = 40  # fewer: exact characteristic polynomials are slow
 
 
 class TestConstruction:
@@ -48,6 +52,31 @@ class TestConstruction:
     def test_weight_lookup_defaults_to_zero(self):
         assert K2.weight(0, 1) == 1.0
         assert K2.weight(1, 1) == 0.0
+
+    @pytest.mark.parametrize("w", [float("nan"), float("inf"), -float("inf")])
+    def test_non_finite_weight_rejected(self, w):
+        with pytest.raises(InvalidGraph):
+            WeightedDigraph(2, {(0, 1): w})
+        with pytest.raises(InvalidGraph):
+            WeightedDigraph.from_edges(2, [(0, 1, w)])
+        with pytest.raises(InvalidGraph):
+            WeightedDigraph.from_adjacency(np.array([[0.0, w], [0.0, 0.0]]))
+
+    def test_immutable(self):
+        with pytest.raises(AttributeError):
+            K2.order = 3
+        with pytest.raises(ValueError):
+            adjacency_matrix(K2)[0, 1] = 2.0
+        with pytest.raises(TypeError):
+            K2.edges[(0, 1)] = 2.0
+
+    def test_edge_view_matches_adjacency(self, rng):
+        for _ in range(10):
+            g, _ = random_seidel_instance(rng)
+            rebuilt = WeightedDigraph(g.order, dict(g.edges))
+            assert rebuilt == g
+            assert WeightedDigraph.from_adjacency(adjacency_matrix(g)) == g
+            assert all(g.weight(u, v) == w for (u, v), w in g.edges.items())
 
 
 class TestAdjacency:
@@ -158,6 +187,53 @@ class TestCospectral:
         a = np.array([[0.0, 2.0], [3.0, 0.0]])
         p = np.array([[0.0, 1.0], [1.0, 0.0]])
         assert cospectral(a, p @ a @ p, 1e-9)
+
+    def test_defective_spectra_match(self):
+        # a 3 x 3 Jordan block and its orthogonal conjugate: the triple
+        # eigenvalue 1 comes out of the general eigensolver spread by ~5e-6
+        a = np.eye(3) + np.diag(np.ones(2), 1)
+        q = seidel_matrix(3)
+        assert cospectral(a, q @ a @ q, 1e-9)
+        assert not cospectral(a, q @ a @ q + 1e-6 * np.eye(3), 1e-9)
+
+    def test_no_false_negatives_on_switched_pairs(self):
+        # asymmetric switched pairs often have repeated or defective
+        # eigenvalues; every pair of this stream is exactly cospectral
+        stream = np.random.default_rng(7)
+        asymmetric = 0
+        for _ in range(STREAM_DRAWS):
+            g, part = random_seidel_instance(stream)
+            a, b = adjacency_matrix(g), adjacency_matrix(switch(g, part))
+            asymmetric += not np.array_equal(a, a.T)
+            assert cospectral(a, b, 1e-9)
+        assert asymmetric > STREAM_DRAWS // 2
+
+    def test_rejects_perturbed_switched_pairs(self):
+        # one weight of the switched graph moves by 2^-20; pairs whose exact
+        # characteristic polynomials still agree are truly cospectral (the
+        # edge lies on no directed cycle) and are not counted
+        stream = np.random.default_rng(7)
+        pick = np.random.default_rng(8)
+        differ = 0
+        for _ in range(PERTURBED_DRAWS):
+            g, part = random_seidel_instance(stream)
+            a = adjacency_matrix(g)
+            b = np.array(adjacency_matrix(switch(g, part)))
+            if np.array_equal(a, a.T):
+                continue
+            rows, cols = np.nonzero(b)
+            k = pick.integers(len(rows))
+            b[rows[k], cols[k]] += 2.0**-20
+            if char_poly_exact(a) != char_poly_exact(b):
+                differ += 1
+                assert not cospectral(a, b, 1e-9)
+        assert differ > PERTURBED_DRAWS // 2
+
+    def test_spectral_gap(self):
+        a = np.array([[0.0, 2.0], [3.0, 0.0]])
+        assert spectral_gap(a, a.T) <= 1e-12
+        assert spectral_gap(a, np.zeros((2, 2))) == float("inf")
+        assert spectral_gap(np.eye(2), 2 * np.eye(2)) == 1.0
 
 
 class TestLaplacianPSD:

@@ -14,7 +14,7 @@ from seidelkit import (
     write_document,
 )
 from seidelkit.cli import main
-from seidelkit.errors import ParallelEdges, ParseError
+from seidelkit.errors import InvalidGraph, ParallelEdges, ParseError
 from seidelkit.io import fixture_names, loads_document
 
 ALL_FIXTURES = [
@@ -67,6 +67,38 @@ class TestDocuments:
     def test_duplicate_pair_is_parallel_edges(self):
         with pytest.raises(ParallelEdges):
             loads_document('{"order": 2, "edges": [[0, 1, 1.0], [0, 1, 2.0]]}')
+
+    def test_non_finite_weights_rejected(self):
+        with pytest.raises(ParseError, match="not finite"):
+            loads_document('{"order": 2, "edges": [[0, 1, NaN], [1, 0, Infinity]]}')
+
+    @pytest.mark.parametrize(
+        "edges, error, match",
+        [
+            ("[[0, 5, 1.0], [0, 1, 0.0]]", ParseError, "outside"),
+            ("[[0, 1, 0.0], [0, 5, 1.0]]", ParseError, "zero weight"),
+            ("[[0, 1, 1.0], [0, 1, 2.0], [1.5, 0, 1.0]]", ParallelEdges, "duplicate"),
+            ("[[0, 1, 1.0], [1.5, 0, 1.0], [0, 1, 2.0]]", ParseError, "integers"),
+            ('[[0, 1, "x"], [0, 9, 1.0]]', ParseError, "not a number"),
+            ("[[0, 1, 1.0], [0, 100000000000000000000, 1.0]]", ParseError, "outside"),
+            ("[[1, 0, 1.0], [0, 1]]", ParseError, "must be"),
+        ],
+    )
+    def test_first_bad_entry_is_reported(self, edges, error, match):
+        with pytest.raises(error, match=match):
+            loads_document(f'{{"order": 2, "edges": {edges}}}')
+
+    def test_negative_loop_is_an_invalid_graph(self):
+        with pytest.raises(InvalidGraph, match="loop"):
+            loads_document('{"order": 2, "edges": [[0, 1, 1.0], [1, 1, -1.0]]}')
+
+    def test_edges_written_in_order(self):
+        doc = loads_document('{"order": 3, "edges": [[2, 0, 1], [0, 2, 0.5], [0, 1, -2]]}')
+        assert dumps_document(doc).splitlines()[3:6] == [
+            "    [0, 1, -2.0],",
+            "    [0, 2, 0.5],",
+            "    [2, 0, 1.0]",
+        ]
 
     def test_bad_partition(self):
         with pytest.raises(ParseError, match="partition"):

@@ -51,6 +51,24 @@ class TestDensityFromGraph:
 
 
 class TestDensityMatrixValidation:
+    def test_spectrum_solved_once(self, monkeypatch):
+        rho = DensityMatrix(np.diag([0.75, 0.25]))
+
+        def unexpected(m):
+            raise AssertionError("the spectrum was solved again")
+
+        monkeypatch.setattr(np.linalg, "eigvalsh", unexpected)
+        assert np.array_equal(rho.eigenvalues(), [0.25, 0.75])
+        assert von_neumann_entropy(rho) > 0.0
+
+    def test_matrix_is_a_read_only_copy(self):
+        m = np.diag([0.5, 0.5])
+        rho = DensityMatrix(m)
+        m[0, 0] = 1.0
+        assert rho.matrix[0, 0] == 0.5
+        with pytest.raises(ValueError):
+            rho.matrix[0, 0] = 1.0
+
     def test_indefinite_rejected(self):
         m = np.diag([1.5, -0.5])
         with pytest.raises(NotPSD):

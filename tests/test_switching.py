@@ -247,6 +247,37 @@ class TestValidateSeidel:
             for p, q, r in report.counts:
                 assert p + q + r == len(part.d_cell)
 
+    def test_signed_sums_must_be_regular(self):
+        # absolute row and column sums of the cell are constant, signed ones
+        # are not; the switch would return a graph that is not cospectral
+        g = WeightedDigraph(
+            4,
+            {(0, 1): 2.0, (1, 0): -2.0, (0, 2): 1.0, (2, 0): 1.0,
+             (3, 0): 1.0, (3, 1): 2.0, (2, 3): 1.0, (3, 2): 1.0},
+        )
+        part = SeidelPartition(cells=((0, 1),), d_cell=(2, 3))
+        with pytest.raises(NotRegularInduced):
+            validate_seidel(g, part)
+        with pytest.raises(NotRegularInduced):
+            switch(g, part)
+
+    @pytest.mark.parametrize(
+        "edges, error, where",
+        [
+            # hub 8 is unequal on cell 0, hub 7 has a bad count on cell 1
+            ([(8, 0, 1.0), (8, 1, 2.0), (7, 4, 1.0)], UnequalWeights, "hub 8 / cell 0"),
+            # both faults on cell 0: the earlier hub wins
+            ([(7, 0, 1.0), (7, 1, 2.0), (8, 2, 1.0)], UnequalWeights, "hub 7 / cell 0"),
+            ([(8, 0, 1.0), (8, 1, 2.0), (7, 2, 1.0)], BadAdjacencyCount, "hub 7 .* cell 0"),
+        ],
+    )
+    def test_first_failing_hub_is_reported(self, edges, error, where):
+        # cells are checked in order, and within a cell the hubs of D
+        g = WeightedDigraph.from_edges(9, edges)
+        part = SeidelPartition(cells=((0, 1, 2, 3), (4, 5, 6)), d_cell=(7, 8))
+        with pytest.raises(error, match=where):
+            validate_seidel(g, part)
+
 
 class TestSwitch:
     def test_complete_graph_fixed(self):
@@ -303,3 +334,20 @@ class TestSwitch:
         part = SeidelPartition(cells=((0, 1, 2),), d_cell=(3,))
         with pytest.raises(BadAdjacencyCount):
             switch(g, part)
+
+    def test_cross_blocks_need_no_constant_row_sums(self, rng):
+        # the general cross-block formula conjugates any block exactly
+        for _ in range(20):
+            edges = {(u, u + 1 - 2 * (u % 2)): 1.0 for u in range(6)}
+            for u in range(2):
+                for v in range(2, 6):
+                    w = float(rng.integers(-3, 4))
+                    if w:
+                        edges[(u, v)] = w
+            g = WeightedDigraph(6, edges)
+            part = SeidelPartition(cells=((0, 1), (2, 3, 4, 5)))
+            u = switching_matrix(part, 6)
+            a = adjacency_matrix(g)
+            result = adjacency_matrix(switch(g, part, verify=True))
+            assert np.max(np.abs(result - u @ a @ u)) < 1e-12
+            assert char_poly_exact(a) == char_poly_exact(result)
