@@ -14,13 +14,15 @@ import numpy as np
 from . import io
 from .errors import ParseError, SeidelKitError
 from .graph import (
-    _general_spectrum,
+    EXACT_TOL,
+    NUMERIC_TOL,
+    _gap,
+    _spectra,
     adjacency_matrix,
     brute_force_isomorphic,
     cospectral,
     laplacian,
     signless_laplacian,
-    spectral_gap,
     spectrum,
 )
 from .quantum import density_from_graph, is_pure, von_neumann_entropy
@@ -34,11 +36,6 @@ KIND_MATRIX = {
     "signless": signless_laplacian,
 }
 
-SPECTRAL_KIND = {
-    "laplacian": SpectralKind.LAPLACIAN,
-    "signless": SpectralKind.SIGNLESS,
-}
-
 
 def _fmt(values) -> str:
     # 10 significant digits absorbs eigensolver noise between cospectral
@@ -46,15 +43,11 @@ def _fmt(values) -> str:
     out = []
     for x in np.atleast_1d(values):
         x = complex(x)
-        if abs(x.imag) > 1e-12:
+        if abs(x.imag) > EXACT_TOL:
             out.append(f"{x.real + 0.0:.10g}{x.imag + 0.0:+.10g}i")
         else:
             out.append(f"{round(x.real, 12) + 0.0:.10g}")
     return " ".join(out)
-
-
-def _load(path: str) -> io.GraphDocument:
-    return io.read_document(path)
 
 
 def _require_partition(doc: io.GraphDocument, path: str):
@@ -64,7 +57,7 @@ def _require_partition(doc: io.GraphDocument, path: str):
 
 
 def cmd_validate(args) -> int:
-    doc = _load(args.path)
+    doc = io.read_document(args.path)
     part = _require_partition(doc, args.path)
     g = doc.graph()
     print(f"graph: {doc.metadata.get('name', args.path)}")
@@ -99,15 +92,13 @@ def cmd_validate(args) -> int:
 
 
 def cmd_switch(args) -> int:
-    doc = _load(args.path)
+    doc = io.read_document(args.path)
     part = _require_partition(doc, args.path)
     g = doc.graph()
     if args.kind == "adjacency":
         result = switch(g, part, verify=args.verify)
     else:
-        result = lq_switch(
-            g, part, SPECTRAL_KIND[args.kind], force=args.force, verify=args.verify
-        )
+        result = lq_switch(g, part, SpectralKind(args.kind), force=args.force, verify=args.verify)
     out_doc = io.GraphDocument.from_graph(result, partition=part, metadata=doc.metadata)
     if args.out:
         io.write_document(out_doc, args.out)
@@ -116,16 +107,15 @@ def cmd_switch(args) -> int:
     else:
         sys.stdout.write(io.dumps_document(out_doc))
     if args.verify:
-        m_in = KIND_MATRIX[args.kind](g)
-        m_out = KIND_MATRIX[args.kind](result)
-        print(f"spectrum in : {_fmt(_general_spectrum(m_in))}")
-        print(f"spectrum out: {_fmt(_general_spectrum(m_out))}")
-        print(f"max spectral gap: {spectral_gap(m_in, m_out, args.tol):.3e}")
+        s_in, s_out = _spectra(KIND_MATRIX[args.kind](g), KIND_MATRIX[args.kind](result))
+        print(f"spectrum in : {_fmt(s_in)}")
+        print(f"spectrum out: {_fmt(s_out)}")
+        print(f"max spectral gap: {_gap(s_in, s_out, args.tol):.3e}")
     return 0
 
 
 def cmd_spectra(args) -> int:
-    doc = _load(args.path)
+    doc = io.read_document(args.path)
     m = KIND_MATRIX[args.kind](doc.graph())
     print(f"kind: {args.kind}")
     print(f"spectrum: {_fmt(spectrum(m))}")
@@ -133,8 +123,8 @@ def cmd_spectra(args) -> int:
 
 
 def cmd_density(args) -> int:
-    doc = _load(args.path)
-    rho = density_from_graph(doc.graph(), SPECTRAL_KIND[args.kind])
+    doc = io.read_document(args.path)
+    rho = density_from_graph(doc.graph(), SpectralKind(args.kind))
     print(f"kind: {args.kind}, order: {rho.order}")
     for row in rho.matrix:
         print(_fmt(row))
@@ -142,8 +132,8 @@ def cmd_density(args) -> int:
 
 
 def cmd_entropy(args) -> int:
-    doc = _load(args.path)
-    rho = density_from_graph(doc.graph(), SPECTRAL_KIND[args.kind])
+    doc = io.read_document(args.path)
+    rho = density_from_graph(doc.graph(), SpectralKind(args.kind))
     rank = int(np.count_nonzero(rho.eigenvalues() > args.tol))
     print(f"entropy: {von_neumann_entropy(rho):.12g} bits")
     print(f"pure: {is_pure(rho, args.tol)}")
@@ -167,15 +157,15 @@ def cmd_strength_scan(args) -> int:
 
 
 def cmd_isomorphic(args) -> int:
-    g = _load(args.path).graph()
-    h = _load(args.other).graph()
+    g = io.read_document(args.path).graph()
+    h = io.read_document(args.other).graph()
     print(f"isomorphic: {str(brute_force_isomorphic(g, h)).lower()}")
     return 0
 
 
 def cmd_cospectral(args) -> int:
-    a = KIND_MATRIX[args.kind](_load(args.path).graph())
-    b = KIND_MATRIX[args.kind](_load(args.other).graph())
+    a = KIND_MATRIX[args.kind](io.read_document(args.path).graph())
+    b = KIND_MATRIX[args.kind](io.read_document(args.other).graph())
     print(f"cospectral ({args.kind}): {str(cospectral(a, b, args.tol)).lower()}")
     return 0
 
@@ -186,7 +176,7 @@ def build_parser() -> argparse.ArgumentParser:
         description="Cospectral graph construction by switching, and strengths "
         "of the switching operators.",
     )
-    parser.add_argument("--tol", type=float, default=1e-9, help="numeric tolerance")
+    parser.add_argument("--tol", type=float, default=NUMERIC_TOL, help="numeric tolerance")
     parser.add_argument("--quiet", action="store_true", help="suppress informational output")
     sub = parser.add_subparsers(dest="command", required=True)
 

@@ -6,6 +6,14 @@ multi-edges are oppositely oriented pairs; a pair (v, v) is a loop. The graph
 is stored as one dense read-only float64 adjacency matrix, built once; the
 edge map is a view of it, built only when asked for. All derived matrices
 (adjacency, degree, Laplacian, signless Laplacian) are dense numpy arrays.
+
+Built-in checks allow |delta| <= tol * (1 + max |entry|) of the matrix
+compared, or |delta| <= tol for normalized states and unitaries; a `tol`
+argument is used as given. EXACT_TOL = 1e-12 is for values a closed formula
+computes in a few operations (symmetry, row sums, equal weights, traces, a
+switch against U A U). NUMERIC_TOL = 1e-9 is for anything an eigensolver or
+an SVD computes (spectra, realizability, the PSD floor, unitarity, the rank
+cut at 1e-9 * s_max) and is every `tol` default.
 """
 
 from __future__ import annotations
@@ -26,8 +34,26 @@ from .errors import (
     raise_first,
 )
 
-SYMMETRY_TOL = 1e-12
+EXACT_TOL = 1e-12
+NUMERIC_TOL = 1e-9
 ISO_SEARCH_LIMIT = 12
+
+
+def _within(x, tol: float, scale) -> np.ndarray:
+    """Elementwise |x| <= tol * (1 + max |entry| of scale): the tolerance rule."""
+    return np.abs(x) <= tol * (1.0 + np.max(np.abs(scale), initial=0.0))
+
+
+def _symmetric(m: np.ndarray) -> bool:
+    return bool(_within(m - m.T, EXACT_TOL, m).all())
+
+
+def _square(m) -> np.ndarray:
+    """m as a float array, after checking that it is a square matrix."""
+    m = np.asarray(m, dtype=float)
+    if m.ndim != 2 or m.shape[0] != m.shape[1]:
+        raise NotSquare(f"expected a square matrix, got shape {m.shape}")
+    return m
 
 
 def _dense(order: int, rows, cols, weights) -> np.ndarray:
@@ -83,9 +109,7 @@ class WeightedDigraph:
     @classmethod
     def from_adjacency(cls, a: np.ndarray) -> "WeightedDigraph":
         """Graph of a square matrix (copied) whose entry (i, j) is the weight of i -> j."""
-        a = np.array(a, dtype=float)
-        if a.ndim != 2 or a.shape[0] != a.shape[1]:
-            raise NotSquare(f"expected a square matrix, got shape {a.shape}")
+        a = np.array(_square(a))
         if not a.size:
             raise InvalidGraph("order must be positive, got 0")
         g = cls.__new__(cls)
@@ -175,20 +199,13 @@ def signless_laplacian(g: WeightedDigraph) -> np.ndarray:
 def spectrum(m: np.ndarray) -> np.ndarray:
     """Ascending eigenvalues of a symmetric real matrix.
 
-    Raises NotSquare / NotSymmetric; symmetry tolerance is 1e-12 on the
-    maximum entry difference.
+    Raises NotSquare / NotSymmetric; the symmetry check follows the
+    tolerance rule with EXACT_TOL.
     """
-    m = np.asarray(m, dtype=float)
-    if m.ndim != 2 or m.shape[0] != m.shape[1]:
-        raise NotSquare(f"expected a square matrix, got shape {m.shape}")
-    if m.size and np.max(np.abs(m - m.T)) > SYMMETRY_TOL:
-        raise NotSymmetric("matrix is not symmetric within 1e-12")
+    m = _square(m)
+    if not _symmetric(m):
+        raise NotSymmetric(f"matrix is not symmetric within {EXACT_TOL:g} (1 + max |entry|)")
     return np.linalg.eigvalsh(m)
-
-
-def _general_spectrum(m: np.ndarray) -> np.ndarray:
-    """Eigenvalues of an arbitrary square matrix, sorted by (real, imag)."""
-    return np.sort_complex(np.linalg.eigvals(m))
 
 
 def _clusters(z: np.ndarray, radius: float) -> np.ndarray:
@@ -213,7 +230,32 @@ def _clusters(z: np.ndarray, radius: float) -> np.ndarray:
     return labels
 
 
-def spectral_gap(a: np.ndarray, b: np.ndarray, tol: float = 1e-9) -> float:
+def _spectra(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Spectra of two square matrices of one order, for `_gap`: ascending and
+    real when both are symmetric, else complex and sorted by (real, imag)."""
+    a, b = _square(a), _square(b)
+    if a.shape != b.shape:
+        raise OrderMismatch(f"orders differ: {a.shape[0]} vs {b.shape[0]}")
+    if _symmetric(a) and _symmetric(b):
+        return np.linalg.eigvalsh(a), np.linalg.eigvalsh(b)
+    return np.sort_complex(np.linalg.eigvals(a)), np.sort_complex(np.linalg.eigvals(b))
+
+
+def _gap(sa: np.ndarray, sb: np.ndarray, tol: float) -> float:
+    """`spectral_gap` of two spectra as `_spectra` returns them."""
+    if not np.iscomplexobj(sa):
+        return float(np.max(np.abs(sa - sb), initial=0.0))
+    z = np.concatenate([sa, sb])
+    labels = _clusters(z, np.sqrt(tol) * (1.0 + np.max(np.abs(z))))
+    side = np.repeat([1.0, -1.0], len(sa))  # +1 for the eigenvalues of a, -1 for b
+    if np.any(np.bincount(labels, weights=side) != 0):
+        return float("inf")
+    difference = np.zeros(labels.max() + 1, dtype=complex)
+    np.add.at(difference, labels, side * z)
+    return float(np.max(np.abs(difference) / np.bincount(labels[: len(sa)])))
+
+
+def spectral_gap(a: np.ndarray, b: np.ndarray, tol: float = NUMERIC_TOL) -> float:
     """How far apart the eigenvalue multisets of a and b are.
 
     Symmetric pairs: the largest difference between the ascending spectra.
@@ -224,28 +266,10 @@ def spectral_gap(a: np.ndarray, b: np.ndarray, tol: float = 1e-9) -> float:
     distance between their means over a cluster: a cluster mean is well
     conditioned even where its members are not.
     """
-    a = np.asarray(a, dtype=float)
-    b = np.asarray(b, dtype=float)
-    for m in (a, b):
-        if m.ndim != 2 or m.shape[0] != m.shape[1]:
-            raise NotSquare(f"expected square matrices, got shape {m.shape}")
-    if a.shape != b.shape:
-        raise OrderMismatch(f"orders differ: {a.shape[0]} vs {b.shape[0]}")
-    if not a.size:
-        return 0.0
-    if max(np.max(np.abs(a - a.T)), np.max(np.abs(b - b.T))) <= SYMMETRY_TOL:
-        return float(np.max(np.abs(spectrum(a) - spectrum(b))))
-    z = np.concatenate([np.linalg.eigvals(a), np.linalg.eigvals(b)])
-    labels = _clusters(z, np.sqrt(tol) * (1.0 + np.max(np.abs(z))))
-    side = np.repeat([1.0, -1.0], len(a))  # +1 for the eigenvalues of a, -1 for b
-    if np.any(np.bincount(labels, weights=side) != 0):
-        return float("inf")
-    difference = np.zeros(labels.max() + 1, dtype=complex)
-    np.add.at(difference, labels, side * z)
-    return float(np.max(np.abs(difference) / np.bincount(labels[: len(a)])))
+    return _gap(*_spectra(a, b), tol)
 
 
-def cospectral(a: np.ndarray, b: np.ndarray, tol: float = 1e-9) -> bool:
+def cospectral(a: np.ndarray, b: np.ndarray, tol: float = NUMERIC_TOL) -> bool:
     """True when the eigenvalue multisets of a and b match within tol.
 
     See `spectral_gap` for the comparison. Unitary conjugates of asymmetric

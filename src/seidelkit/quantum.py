@@ -13,12 +13,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import NotPSD, NotSquare, NotSymmetric, ZeroTrace
-from .graph import SYMMETRY_TOL, WeightedDigraph
+from .errors import NotPSD, NotSymmetric, ZeroTrace
+from .graph import EXACT_TOL, NUMERIC_TOL, WeightedDigraph, _square
 from .starlike import SpectralKind, spectral_matrix
-
-TRACE_TOL = 1e-12
-EIGENVALUE_FLOOR = -1e-9
 
 
 @dataclass(frozen=True, eq=False)
@@ -33,19 +30,17 @@ class DensityMatrix:
     _spectrum: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
-        m = np.array(self.matrix, dtype=float)
+        m = np.array(_square(self.matrix))
         m.flags.writeable = False
         object.__setattr__(self, "matrix", m)
-        if m.ndim != 2 or m.shape[0] != m.shape[1]:
-            raise NotSquare(f"density matrix must be square, got shape {m.shape}")
-        if np.max(np.abs(m - m.T)) > SYMMETRY_TOL:
-            raise NotSymmetric("density matrix must be symmetric within 1e-12")
+        if np.max(np.abs(m - m.T)) > EXACT_TOL:
+            raise NotSymmetric(f"density matrix must be symmetric within {EXACT_TOL:g}")
         trace = float(np.trace(m))
-        if abs(trace - 1.0) > TRACE_TOL:
+        if abs(trace - 1.0) > EXACT_TOL:
             raise ZeroTrace(f"trace must be 1, got {trace}")
         spectrum = np.linalg.eigvalsh(m)
-        if float(spectrum[0]) < EIGENVALUE_FLOOR:
-            raise NotPSD("density matrix has an eigenvalue below -1e-9")
+        if float(spectrum[0]) < -NUMERIC_TOL:
+            raise NotPSD(f"density matrix has an eigenvalue below {-NUMERIC_TOL:g}")
         object.__setattr__(self, "_spectrum", spectrum)
 
     @property
@@ -79,6 +74,6 @@ def von_neumann_entropy(rho: DensityMatrix) -> float:
     return s if s > 0.0 else 0.0
 
 
-def is_pure(rho: DensityMatrix, tol: float = 1e-9) -> bool:
+def is_pure(rho: DensityMatrix, tol: float = NUMERIC_TOL) -> bool:
     """True when the numerical rank (eigenvalues above tol) is one."""
     return int(np.count_nonzero(rho.eigenvalues() > tol)) == 1

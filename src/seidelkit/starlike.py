@@ -28,19 +28,13 @@ from .errors import (
     NotRealizable,
     OddCategory2Count,
     OrderMismatch,
-    VerificationFailed,
     raise_first,
 )
-from .graph import WeightedDigraph, adjacency_matrix, cospectral, laplacian, signless_laplacian
-from .switching import (
-    CONJUGATION_TOL,
-    SeidelPartition,
-    _Partitioned,
-    switching_matrix,
-    validate_seidel,
+from .graph import (
+    NUMERIC_TOL, WeightedDigraph, _within, adjacency_matrix, laplacian, signless_laplacian,
 )
-
-REALIZABILITY_TOL = 1e-9
+from .switching import SeidelPartition, _checked, _Partitioned, _verify_switch
+from .switching import validate_seidel  # noqa: F401  kept importable from this module
 
 
 class SpectralKind(enum.Enum):
@@ -91,10 +85,9 @@ def validate_starlike(g: WeightedDigraph, part: SeidelPartition) -> list[Starlik
     cell come in an even number, split evenly between one half of the cell
     and its complement, again with one weight per direction.
     """
-    report = validate_seidel(g, part)
+    blocks, category = _checked(g, part)
     if not part.cells:
         return []
-    blocks = _Partitioned(adjacency_matrix(g), part.cells, part.d_cell)
     k, m, sizes, d = len(part.cells), blocks.m, blocks.sizes, part.d_cell
     cell_of = np.repeat(np.arange(k), sizes)  # cell of each cell vertex, in partition order
     cross = (blocks.p[:m, :m] != 0) & (cell_of[:, None] != cell_of)
@@ -105,7 +98,6 @@ def validate_starlike(g: WeightedDigraph, part: SeidelPartition) -> list[Starlik
         i, i2 = cell_of[rows[j]], cell_of[cols[j]]
         raise CrossCellEdge(f"edge ({u}, {v}) joins cell {i} to cell {i2}")
 
-    category = np.array([[report.categories[(i, v)] for v in d] for i in range(k)]).reshape(k, -1)
     outgoing, incoming = blocks.p[m:, :m], blocks.p[:m, m:].T  # hub x cell vertex
     attached = (outgoing != 0) | (incoming != 0)
     cat1, cat2 = (np.repeat((category == c).T, sizes, axis=1) for c in (1, 2))
@@ -116,7 +108,7 @@ def validate_starlike(g: WeightedDigraph, part: SeidelPartition) -> list[Starlik
         reference = attached[np.argmax(category == 2, axis=1)[cell_of], np.arange(m)]
     same = blocks.per_cell(np.logical_and, attached == reference).T & (category == 2)
     flipped = blocks.per_cell(np.logical_and, attached != reference).T & (category == 2)
-    q = np.count_nonzero(category == 2, axis=1)
+    p, q, r = (np.count_nonzero(category == c, axis=1) for c in (1, 2, 3))
     broken = (q > 0) & (np.any((category == 2) & ~(same | flipped), axis=1) | ~flipped.any(axis=1))
     weights, faults = zip(*(_uniform_weights(blocks, x, mask) for x, mask in (
         (outgoing, cat1), (incoming, cat1), (outgoing, cat2 & attached), (incoming, cat2 & attached)
@@ -150,7 +142,7 @@ def validate_starlike(g: WeightedDigraph, part: SeidelPartition) -> list[Starlik
         (faults[3], nonuniform(NonuniformCategory2Weights, incoming, cat2 & attached)),
     )
     return [
-        StarlikeCellProfile(i, *(float(w[i]) for w in weights), *report.counts[i])
+        StarlikeCellProfile(i, *(float(w[i]) for w in weights), int(p[i]), int(q[i]), int(r[i]))
         for i in range(k)
     ]
 
@@ -174,14 +166,14 @@ def _project(m: np.ndarray, kind: SpectralKind) -> np.ndarray:
     out = sign * m + 0.0  # + 0.0 turns the -0.0 of sign * 0.0 into 0.0
     np.fill_diagonal(out, 0.0)
     off_sums = np.abs(out).sum(axis=1)
-    tol = REALIZABILITY_TOL * (1.0 + np.max(np.abs(m)))
     if kind is SpectralKind.SIGNLESS:
         loops = (diag - off_sums) / 2.0
-        raise_first((loops < -tol, lambda v: NegativeLoopWeight(
+        small = _within(loops, NUMERIC_TOL, m)
+        raise_first((~small & (loops < 0), lambda v: NegativeLoopWeight(
             f"vertex {v}: diagonal {diag[v]} below off-diagonal sum {off_sums[v]}")))
-        np.fill_diagonal(out, np.where(loops > tol, loops, 0.0))
+        np.fill_diagonal(out, np.where(small, 0.0, loops))
     else:
-        raise_first((np.abs(diag - off_sums) > tol, lambda v: NotRealizable(
+        raise_first((~_within(diag - off_sums, NUMERIC_TOL, m), lambda v: NotRealizable(
             f"vertex {v}: diagonal {diag[v]} != off-diagonal absolute sum {off_sums[v]}")))
     return out
 
@@ -230,14 +222,8 @@ def lq_switch(
     if kind is SpectralKind.LAPLACIAN:
         np.fill_diagonal(out, np.diagonal(adjacency_matrix(g)))
     result = WeightedDigraph.from_adjacency(out)
-    if verify:
-        u = switching_matrix(part, g.order)
-        gap = float(np.max(np.abs(spectral_matrix(result, kind) - u @ m @ u)))
-        if gap > CONJUGATION_TOL:
-            raise VerificationFailed(f"switched matrix deviates from U M U by {gap}")
     if force or verify:
-        if not cospectral(m, spectral_matrix(result, kind), 1e-9):
-            raise VerificationFailed("switched graph lost cospectrality")
+        _verify_switch(m, spectral_matrix(result, kind), part if verify else None)
     return result
 
 

@@ -20,11 +20,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import BadBipartition, InvalidOrder, NotSquare, NotUnitary
+from .errors import BadBipartition, InvalidOrder, NotUnitary
+from .graph import NUMERIC_TOL, _square
 from .switching import SeidelOperator, seidel_matrix
-
-UNITARY_TOL = 1e-9
-RANK_REL_TOL = 1e-8
 
 
 @dataclass(frozen=True)
@@ -67,10 +65,7 @@ class SchmidtProfile:
 
 def vec_row(a: np.ndarray) -> np.ndarray:
     """Row-major flattening (a_11, a_12, ..., a_nn) of a square matrix."""
-    a = np.asarray(a, dtype=float)
-    if a.ndim != 2 or a.shape[0] != a.shape[1]:
-        raise NotSquare(f"expected a square matrix, got shape {a.shape}")
-    return a.reshape(-1)
+    return _square(a).reshape(-1)
 
 
 def realignment(u: np.ndarray, bip: Bipartition) -> np.ndarray:
@@ -78,9 +73,7 @@ def realignment(u: np.ndarray, bip: Bipartition) -> np.ndarray:
 
     Rows are ordered lexicographically by block index (i, j).
     """
-    u = np.asarray(u, dtype=float)
-    if u.ndim != 2 or u.shape[0] != u.shape[1]:
-        raise NotSquare(f"expected a square matrix, got shape {u.shape}")
+    u = _square(u)
     bip.check_order(u.shape[0])
     m, n = bip.m, bip.n
     # (i, j, block rows, block cols) -> (i, j, n*n)
@@ -89,16 +82,14 @@ def realignment(u: np.ndarray, bip: Bipartition) -> np.ndarray:
 
 
 def _require_unitary(u: np.ndarray) -> np.ndarray:
-    u = np.asarray(u, dtype=float)
-    if u.ndim != 2 or u.shape[0] != u.shape[1]:
-        raise NotSquare(f"expected a square matrix, got shape {u.shape}")
+    u = _square(u)
     gap = float(np.max(np.abs(u.T @ u - np.eye(u.shape[0]))))
-    if gap > UNITARY_TOL:
+    if gap > NUMERIC_TOL:
         raise NotUnitary(f"operator deviates from unitarity by {gap}")
     return u
 
 
-def realignment_rank(u: np.ndarray, bip: Bipartition, tol: float = RANK_REL_TOL) -> int:
+def realignment_rank(u: np.ndarray, bip: Bipartition, tol: float = NUMERIC_TOL) -> int:
     """Number of singular values above tol * s_max of the realigned matrix."""
     sv = np.linalg.svd(realignment(u, bip), compute_uv=False)
     if sv[0] == 0.0:
@@ -106,7 +97,7 @@ def realignment_rank(u: np.ndarray, bip: Bipartition, tol: float = RANK_REL_TOL)
     return int(np.count_nonzero(sv > tol * sv[0]))
 
 
-def is_local(u: np.ndarray, bip: Bipartition, tol: float = RANK_REL_TOL) -> bool:
+def is_local(u: np.ndarray, bip: Bipartition, tol: float = NUMERIC_TOL) -> bool:
     """True iff a unitary factors as u1 (x) u2 over the bipartition.
 
     Equivalent to realignment rank one.

@@ -39,11 +39,9 @@ from .errors import (
     VerificationFailed,
     raise_first,
 )
-from .graph import WeightedDigraph, adjacency_matrix, cospectral
-
-ROW_SUM_TOL = 1e-12
-CONJUGATION_TOL = 1e-12
-WEIGHT_EQ_TOL = 1e-12
+from .graph import (
+    EXACT_TOL, NUMERIC_TOL, WeightedDigraph, _symmetric, _within, adjacency_matrix, spectral_gap,
+)
 
 
 @dataclass(frozen=True)
@@ -166,7 +164,7 @@ def switch_cross_block(a: np.ndarray) -> np.ndarray:
     a = np.asarray(a, dtype=float)
     m, n = a.shape
     row_sums = a.sum(axis=1)
-    if np.max(np.abs(row_sums - row_sums.mean())) > ROW_SUM_TOL:
+    if not _within(row_sums - row_sums.mean(), EXACT_TOL, row_sums).all():
         raise NonConstantRowSum(f"row sums vary: {row_sums}")
     full = np.zeros((m + n, m + n))
     full[:m, m:] = a
@@ -236,21 +234,14 @@ class _Partitioned:
 
 def _equal_within(values: np.ndarray, starts) -> np.ndarray:
     """For each segment of `values` (one begins at each of `starts`), whether
-    its entries are equal within WEIGHT_EQ_TOL relative to 1 + max |entry|."""
+    its entries are equal under the tolerance rule with EXACT_TOL."""
     spread = np.maximum.reduceat(values, starts) - np.minimum.reduceat(values, starts)
-    return spread <= WEIGHT_EQ_TOL * (1.0 + np.maximum.reduceat(np.abs(values), starts))
+    return spread <= EXACT_TOL * (1.0 + np.maximum.reduceat(np.abs(values), starts))
 
 
-def validate_seidel(g: WeightedDigraph, part: SeidelPartition) -> CategoryReport:
-    """Check the four switching-graph conditions and classify hub vertices.
-
-    (a) the parts partition the vertex set, (b) the subgraphs induced by each
-    cell and by D are regular, in signed and in absolute weight, over rows
-    and over columns, (c) each hub vertex is adjacent to 0, n/2 or n vertices
-    of every cell, with equal weights per direction in the half-attached
-    case, (d) parallel edges only occur as oppositely oriented pairs, which
-    the graph model guarantees.
-    """
+def _checked(g: WeightedDigraph, part: SeidelPartition) -> tuple[_Partitioned, np.ndarray]:
+    """Run the checks of `validate_seidel`; return the adjacency matrix in
+    partition order and the cell x hub array of categories."""
     part.check_cover(g.order)
     blocks = _Partitioned(adjacency_matrix(g), part.cells, part.d_cell)
     m, d, order = blocks.m, part.d_cell, g.order
@@ -267,7 +258,7 @@ def validate_seidel(g: WeightedDigraph, part: SeidelPartition) -> CategoryReport
     raise_first((irregular, lambda i: NotRegularInduced(
         f"induced subgraph on {labels[i]} is not regular")))
     if not part.cells:
-        return CategoryReport(categories={}, counts=())
+        return blocks, np.zeros((0, len(d)), dtype=np.intp)
     # hub x cell-vertex weights per direction; per-cell results are cell x hub,
     # so that raveling them walks cells first and then hubs, as the checks do
     outgoing, incoming = blocks.p[m:, :m], blocks.p[:m, m:].T
@@ -297,13 +288,45 @@ def validate_seidel(g: WeightedDigraph, part: SeidelPartition) -> CategoryReport
         checks += [
             (partial.ravel(), fault(UnequalWeights,
                 f"hub {{v}} / cell {{i}}: {name} edges cover only part of the attachment")),
-            ((spans & (hi - lo > WEIGHT_EQ_TOL * scale)).ravel(), fault(UnequalWeights,
+            ((spans & (hi - lo > EXACT_TOL * scale)).ravel(), fault(UnequalWeights,
                 f"hub {{v}} / cell {{i}}: unequal {name} weights {{w}}", weights)),
         ]
     raise_first(*checks)
+    return blocks, category
+
+
+def validate_seidel(g: WeightedDigraph, part: SeidelPartition) -> CategoryReport:
+    """Check the four switching-graph conditions and classify hub vertices.
+
+    (a) the parts partition the vertex set, (b) the subgraphs induced by each
+    cell and by D are regular, in signed and in absolute weight, over rows
+    and over columns, (c) each hub vertex is adjacent to 0, n/2 or n vertices
+    of every cell, with equal weights per direction in the half-attached
+    case, (d) parallel edges only occur as oppositely oriented pairs, which
+    the graph model guarantees.
+    """
+    d, category = part.d_cell, _checked(g, part)[1]
     categories = {(i, v): c for i, row in enumerate(category.tolist()) for v, c in zip(d, row)}
     counts = zip(*(np.count_nonzero(category == c, axis=1).tolist() for c in (1, 2, 3)))
     return CategoryReport(categories=categories, counts=tuple(counts))
+
+
+def _verify_switch(m: np.ndarray, switched: np.ndarray, part: SeidelPartition | None) -> None:
+    """Raise VerificationFailed unless `switched` is U M U for the partition's
+    operator U (skipped when `part` is None) and, for symmetric M, shares
+    the spectrum of M, both under the tolerance rule."""
+    if part is not None:
+        u = switching_matrix(part, len(m))
+        expected = u @ m @ u
+        gap = float(np.max(np.abs(switched - expected), initial=0.0))
+        if not _within(gap, EXACT_TOL, expected):
+            raise VerificationFailed(f"switched matrix deviates from U M U by {gap:.3e}")
+    # the conjugation identity already forces equal spectra; the numeric
+    # comparison is only well conditioned for symmetric matrices
+    if _symmetric(m):
+        gap = spectral_gap(m, switched, NUMERIC_TOL)
+        if not _within(gap, NUMERIC_TOL, m):
+            raise VerificationFailed(f"switched matrix lost cospectrality (gap {gap:.3e})")
 
 
 def switch(g: WeightedDigraph, part: SeidelPartition, verify: bool = False) -> WeightedDigraph:
@@ -311,21 +334,10 @@ def switch(g: WeightedDigraph, part: SeidelPartition, verify: bool = False) -> W
 
     Validates the input first; cross blocks between cells may be arbitrary.
     With verify=True the result is checked against the dense conjugation
-    U A U (max deviation 1e-12) and the two adjacency spectra are compared;
-    meant for tests, not production runs.
+    U A U and, for symmetric A, the two adjacency spectra are compared, under
+    the tolerance rule of `graph`; meant for tests, not production runs.
     """
-    validate_seidel(g, part)
-    a = adjacency_matrix(g)
-    result = WeightedDigraph.from_adjacency(_Partitioned(a, part.cells, part.d_cell).conjugated())
+    result = WeightedDigraph.from_adjacency(_checked(g, part)[0].conjugated())
     if verify:
-        u = switching_matrix(part, g.order)
-        expected = u @ a @ u
-        gap = float(np.max(np.abs(adjacency_matrix(result) - expected)))
-        if gap > CONJUGATION_TOL:
-            raise VerificationFailed(f"block switch deviates from U A U by {gap}")
-        # the conjugation identity already forces equal spectra; the numeric
-        # comparison is only well conditioned for symmetric matrices
-        if np.max(np.abs(a - a.T)) <= CONJUGATION_TOL:
-            if not cospectral(a, adjacency_matrix(result), 1e-9):
-                raise VerificationFailed("switched graph is not cospectral with the input")
+        _verify_switch(adjacency_matrix(g), adjacency_matrix(result), part)
     return result

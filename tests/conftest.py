@@ -154,6 +154,17 @@ def random_starlike_instance(rng, with_loops=True) -> tuple[WeightedDigraph, Sei
     return WeightedDigraph(order, edges), SeidelPartition(cells=cells, d_cell=d)
 
 
+def heavy_cycle_instance() -> tuple[WeightedDigraph, SeidelPartition]:
+    """A directed 3-cycle of weight 1e4 with one category-1 hub (1e3 in, 3e3
+    out). The dense U A U rounds relative to these weights, about 1e-12
+    away from the exact switch, which equals the input."""
+    edges = {(0, 1): 1e4, (1, 2): 1e4, (2, 0): 1e4}
+    for v in range(3):
+        edges[(3, v)] = 1e3
+        edges[(v, 3)] = 3e3
+    return WeightedDigraph(4, edges), SeidelPartition(cells=((0, 1, 2),), d_cell=(3,))
+
+
 def random_orthogonal(rng, n: int) -> np.ndarray:
     q, r = np.linalg.qr(rng.normal(size=(n, n)))
     return q * np.sign(np.diag(r))

@@ -1,9 +1,14 @@
 """Graph model, derived matrices, spectra and isomorphism search."""
 
+import re
+import tokenize
+from pathlib import Path
+
 import numpy as np
 import pytest
 from conftest import char_poly_exact, random_seidel_instance, random_starlike_instance
 
+import seidelkit
 from seidelkit import (
     WeightedDigraph,
     adjacency_matrix,
@@ -286,3 +291,15 @@ class TestIsomorphism:
     def test_order_mismatch(self):
         with pytest.raises(OrderMismatch):
             brute_force_isomorphic(WeightedDigraph(2), WeightedDigraph(3))
+
+
+class TestTolerancePolicy:
+    def test_only_the_two_tolerances_are_literals(self):
+        # every tolerance is EXACT_TOL or NUMERIC_TOL, defined once in graph.py
+        found = []
+        for path in sorted(Path(seidelkit.__file__).parent.glob("*.py")):
+            with path.open() as f:
+                for tok in tokenize.generate_tokens(f.readline):
+                    if tok.type == tokenize.NUMBER and re.search(r"\de-\d", tok.string, re.I):
+                        found.append(f"{path.name}: {tok.line.strip()}")
+        assert found == ["graph.py: EXACT_TOL = 1e-12", "graph.py: NUMERIC_TOL = 1e-9"]

@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+from conftest import heavy_cycle_instance
 
 from seidelkit import (
     GraphDocument,
@@ -149,6 +150,27 @@ class TestCli:
         result = read_document(out_path).graph()
         assert sorted(v for (u, v) in result.edges if u == 8) == [0, 3, 6, 7]
         assert "max spectral gap" in capsys.readouterr().out
+
+    def test_switch_verify_scales_with_the_weights(self, tmp_path, capsys):
+        g, part = heavy_cycle_instance()
+        path = tmp_path / "heavy.graph"
+        write_document(GraphDocument.from_graph(g, partition=part), path)
+        assert main(["switch", str(path), "--verify"]) == 0
+        assert "max spectral gap" in capsys.readouterr().out
+
+    @pytest.mark.parametrize(
+        "name, kind, solves", [("fig2", "adjacency", 2), ("fig4_left", "laplacian", 4)]
+    )
+    def test_switch_verify_solves_each_spectrum_once(
+        self, name, kind, solves, tmp_path, monkeypatch
+    ):
+        path = fixture_file(name, tmp_path)
+        calls = []
+        for solver in ("eigvals", "eigvalsh"):
+            original = getattr(np.linalg, solver)
+            monkeypatch.setattr(np.linalg, solver, lambda m, f=original: calls.append(m) or f(m))
+        assert main(["--quiet", "switch", path, "--kind", kind, "--verify"]) == 0
+        assert len(calls) == solves
 
     def test_switch_laplacian_matches_fixture(self, tmp_path):
         out_path = tmp_path / "switched.graph"

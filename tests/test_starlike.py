@@ -222,6 +222,12 @@ class TestLqSwitch:
             for kind in KINDS:
                 assert loop_weights_preserved(g, lq_switch(g, part, kind))
 
+    def test_verify_scales_with_the_weights(self):
+        cycle, hub = [(0, 1), (1, 2), (2, 0)], [(3, v) for v in range(3)]
+        g = WeightedDigraph.from_edges(4, sym_edges(cycle, 1e4) + sym_edges(hub, 1e3))
+        part = SeidelPartition(cells=((0, 1, 2),), d_cell=(3,))
+        assert lq_switch(g, part, SpectralKind.LAPLACIAN, verify=True) == g
+
     def test_force_skips_validation(self):
         left = load_fixture("fig5_left")
         with pytest.raises(CrossCellEdge):

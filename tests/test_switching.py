@@ -2,7 +2,7 @@
 
 import numpy as np
 import pytest
-from conftest import char_poly_exact, random_seidel_instance
+from conftest import char_poly_exact, heavy_cycle_instance, random_seidel_instance
 
 from seidelkit import (
     SeidelOperator,
@@ -15,6 +15,7 @@ from seidelkit import (
     seidel_matrix,
     switch,
     switch_cross_block,
+    switching,
     switching_matrix,
     validate_seidel,
 )
@@ -26,6 +27,7 @@ from seidelkit.errors import (
     NotHalfAndHalf,
     NotRegularInduced,
     UnequalWeights,
+    VerificationFailed,
 )
 
 PAULI_X = np.array([[0.0, 1.0], [1.0, 0.0]])
@@ -334,6 +336,23 @@ class TestSwitch:
         part = SeidelPartition(cells=((0, 1, 2),), d_cell=(3,))
         with pytest.raises(BadAdjacencyCount):
             switch(g, part)
+
+    def test_verify_scales_with_the_weights(self):
+        g, part = heavy_cycle_instance()
+        assert switch(g, part, verify=True) == g
+
+    def test_verify_rejects_a_wrong_conjugation(self, monkeypatch):
+        conjugated = switching._Partitioned.conjugated
+
+        def corrupted(self):
+            out = conjugated(self)
+            out[0, 1] += 1.0
+            return out
+
+        monkeypatch.setattr(switching._Partitioned, "conjugated", corrupted)
+        g = complete_graph(4)
+        with pytest.raises(VerificationFailed, match="U M U"):
+            switch(g, SeidelPartition(cells=(tuple(range(4)),)), verify=True)
 
     def test_cross_blocks_need_no_constant_row_sums(self, rng):
         # the general cross-block formula conjugates any block exactly
