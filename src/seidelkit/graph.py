@@ -8,8 +8,9 @@ edge map is a view of it, built only when asked for. All derived matrices
 (adjacency, degree, Laplacian, signless Laplacian) are dense numpy arrays.
 
 Built-in checks allow |delta| <= tol * (1 + max |entry|) of the matrix
-compared, or |delta| <= tol for normalized states and unitaries; a `tol`
-argument is used as given. EXACT_TOL = 1e-12 is for values a closed formula
+compared, or |delta| <= tol for normalized states and unitaries; the `tol`
+of `cospectral` goes through the same rule, other `tol` arguments are used
+as given. EXACT_TOL = 1e-12 is for values a closed formula
 computes in a few operations (symmetry, row sums, equal weights, traces, a
 switch against U A U). NUMERIC_TOL = 1e-9 is for anything an eigensolver or
 an SVD computes (spectra, realizability, the PSD floor, unitarity, the rank
@@ -270,13 +271,17 @@ def spectral_gap(a: np.ndarray, b: np.ndarray, tol: float = NUMERIC_TOL) -> floa
 
 
 def cospectral(a: np.ndarray, b: np.ndarray, tol: float = NUMERIC_TOL) -> bool:
-    """True when the eigenvalue multisets of a and b match within tol.
+    """True when the eigenvalue multisets of a and b match under the
+    tolerance rule: spectral_gap(a, b, tol) <= tol * (1 + max |entry|).
 
     See `spectral_gap` for the comparison. Unitary conjugates of asymmetric
     adjacency matrices, defective ones included, are covered by the general
     path.
     """
-    return spectral_gap(a, b, tol) <= tol
+    a, b = _square(a), _square(b)
+    # the extremes of a and b bound max |entry| without a temporary matrix
+    scale = [f(x, initial=0.0) for f in (np.min, np.max) for x in (a, b)]
+    return bool(_within(spectral_gap(a, b, tol), tol, scale))
 
 
 def _vertex_signature(a: np.ndarray, v: int) -> tuple:

@@ -11,18 +11,19 @@ therefore global.
 
 Two strengths are derived from the normalized squared coefficients
 p_i = s_i^2 / (mn): the Shannon entropy H({p_i}) in bits, and the linear
-variant 1 - sum_i p_i^2. Both vanish exactly on local operators.
+variant 1 - sum_i p_i^2. Both vanish exactly on local operators. U_mn and
+U_2 (+) I_{mn-2} realign to rank two, both with k_wz = 8(m-1)(n-1) / (mn)^2.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import BadBipartition, InvalidOrder, NotUnitary
 from .graph import NUMERIC_TOL, _square
-from .switching import SeidelOperator, seidel_matrix
 
 
 @dataclass(frozen=True)
@@ -123,8 +124,12 @@ class ScanRow:
     k_wz: float
 
 
-def _ordered_factorizations(order: int) -> list[tuple[int, int]]:
-    return [(m, order // m) for m in range(2, order // 2 + 1) if order % m == 0]
+def _switching_strengths(m: int, n: int) -> tuple[float, float]:
+    """(k_sch, k_wz) of the scanned operators; p- = (1 - r) / 2 = k_wz / (1 + r)."""
+    k_wz = 8 * (m - 1) * (n - 1) / (m * n) ** 2
+    r = math.sqrt(1.0 - 2.0 * k_wz)
+    p_plus, p_minus = (1.0 + r) / 2.0, k_wz / (1.0 + r)
+    return -(p_plus * math.log2(p_plus) + p_minus * math.log2(p_minus)), k_wz
 
 
 def strength_scan(max_order: int, include_blocks: bool = False) -> list[ScanRow]:
@@ -132,24 +137,18 @@ def strength_scan(max_order: int, include_blocks: bool = False) -> list[ScanRow]
 
     One row per ordered factorization (m, n) of each composite order for the
     plain operator U_o; include_blocks adds the two-block family
-    U_2 (+) I_{o-2}. Rows are sorted by (order, m, kind).
+    U_2 (+) I_{o-2}, which has the strengths of U_o. Rows are sorted by
+    (order, m, kind).
     """
     if max_order < 4:
         raise InvalidOrder(f"scan needs max_order >= 4, got {max_order}")
-    rows = []
-    for order in range(4, max_order + 1):
-        factorizations = _ordered_factorizations(order)
-        if not factorizations:
-            continue
-        operators = [("single", seidel_matrix(order))]
-        if include_blocks:
-            operators.append(("block", SeidelOperator((2,), order - 2).matrix()))
-        for m, n in factorizations:
-            for kind, matrix in operators:
-                profile = schmidt_coefficients(matrix, Bipartition(m, n))
-                rows.append(ScanRow(order, m, n, kind, profile.k_sch, profile.k_wz))
-    rows.sort(key=lambda r: (r.order, r.m, r.kind))
-    return rows
+    return [
+        ScanRow(order, m, order // m, kind, *_switching_strengths(m, order // m))
+        for order in range(4, max_order + 1)
+        for m in range(2, order // 2 + 1)
+        if order % m == 0
+        for kind in (("block", "single") if include_blocks else ("single",))
+    ]
 
 
 def scan_csv(rows: list[ScanRow]) -> str:

@@ -234,6 +234,16 @@ class TestCospectral:
                 assert not cospectral(a, b, 1e-9)
         assert differ > PERTURBED_DRAWS // 2
 
+    def test_tolerance_scales_with_weights(self, rng):
+        # symmetric conjugates with weights 1e7..3e8 are exactly cospectral,
+        # but the eigensolver leaves gaps near 1e-7, far above an absolute 1e-9
+        u = seidel_matrix(8)
+        for _ in range(50):
+            a = np.triu(rng.uniform(1e7, 3e8, size=(8, 8)), 1)
+            a = a + a.T
+            assert spectral_gap(a, u @ a @ u) > 1e-9
+            assert cospectral(a, u @ a @ u)
+
     def test_spectral_gap(self):
         a = np.array([[0.0, 2.0], [3.0, 0.0]])
         assert spectral_gap(a, a.T) <= 1e-12

@@ -1,5 +1,7 @@
 """Realignment, Schmidt coefficients and strength measures."""
 
+from decimal import Decimal, localcontext
+
 import numpy as np
 import pytest
 from conftest import random_orthogonal
@@ -20,6 +22,8 @@ from seidelkit.errors import BadBipartition, InvalidOrder, NotSquare, NotUnitary
 
 PAULI_X = np.array([[0.0, 1.0], [1.0, 0.0]])
 CNOT_BLOCK = SeidelOperator((2,), 2).matrix()
+ORACLE_MAX_ORDER = 100  # the scan is checked against the SVD path up to here
+CSV_MAX_ORDER = 200  # the benchmark's scan size
 
 
 def coefficient_matrix_by_basis_expansion(u, m, n):
@@ -221,3 +225,71 @@ class TestStrengthScan:
             profile = schmidt_coefficients(seidel_matrix(2 * k), Bipartition(2, k))
             values.append(profile.k_sch)
         assert all(a > b for a, b in zip(values, values[1:]))
+
+
+def strengths_decimal(m, n):
+    """(k_sch, k_wz) of U_mn at 40 digits, from the squared Schmidt
+    coefficients s^2 = (mn +- sqrt((mn)^2 - 16(m-1)(n-1))) / 2."""
+    with localcontext() as ctx:
+        ctx.prec = 40
+        mn = Decimal(m * n)
+        root = (mn * mn - 16 * (m - 1) * (n - 1)).sqrt()
+        p = [(mn + root) / (2 * mn), (mn - root) / (2 * mn)]
+        k_sch = -sum(x * x.ln() for x in p) / Decimal(2).ln()
+        k_wz = 1 - sum(x * x for x in p)
+    return k_sch, k_wz
+
+
+class TestClosedFormScan:
+    def test_matches_svd_oracle(self):
+        rows = strength_scan(ORACLE_MAX_ORDER, include_blocks=True)
+        expected = {
+            (o, m, kind)
+            for o in range(4, ORACLE_MAX_ORDER + 1)
+            for m in range(2, o)
+            if o % m == 0
+            for kind in ("block", "single")
+        }
+        assert {(r.order, r.m, r.kind) for r in rows} == expected
+        assert len(rows) == len(expected)
+        dense = {}
+        for row in rows:
+            if (row.order, row.kind) not in dense:
+                dense[row.order, row.kind] = (
+                    seidel_matrix(row.order)
+                    if row.kind == "single"
+                    else SeidelOperator((2,), row.order - 2).matrix()
+                )
+            profile = schmidt_coefficients(dense[row.order, row.kind], Bipartition(row.m, row.n))
+            assert abs(row.k_sch - profile.k_sch) <= 1e-12
+            assert abs(row.k_wz - profile.k_wz) <= 1e-12
+
+    def test_linear_strength_formula(self):
+        for row in strength_scan(CSV_MAX_ORDER, include_blocks=True):
+            assert row.k_wz == 8 * (row.m - 1) * (row.n - 1) / (row.m * row.n) ** 2
+
+    def test_block_rows_equal_single_rows(self):
+        rows = strength_scan(CSV_MAX_ORDER, include_blocks=True)
+        block = {(r.order, r.m): (r.k_sch, r.k_wz) for r in rows if r.kind == "block"}
+        single = {(r.order, r.m): (r.k_sch, r.k_wz) for r in rows if r.kind == "single"}
+        assert block == single
+
+    def test_two_by_k_decay_formula(self):
+        # over (2, k): p+ p- = (k - 1) / k^2, so p+ = (k - 1) / k and p- = 1 / k
+        rows = [r for r in strength_scan(CSV_MAX_ORDER) if r.m == 2]
+        assert [r.n for r in rows] == list(range(2, CSV_MAX_ORDER // 2 + 1))
+        for r in rows:
+            k = r.n
+            assert abs(r.k_sch - (np.log2(k) - (k - 1) / k * np.log2(k - 1))) < 1e-14
+            assert abs(r.k_wz - 2 * (k - 1) / k**2) < 1e-15
+        assert all(a.k_sch > b.k_sch and a.k_wz > b.k_wz for a, b in zip(rows, rows[1:]))
+
+    def test_csv_correctly_rounded(self):
+        rows = strength_scan(CSV_MAX_ORDER, include_blocks=True)
+        lines = ["order,m,n,kind,k_sch,k_wz"]
+        for r in rows:
+            k_sch, k_wz = strengths_decimal(r.m, r.n)
+            lines.append(f"{r.order},{r.m},{r.n},{r.kind},{k_sch:.12f},{k_wz:.12f}")
+        got = scan_csv(rows).splitlines()
+        assert len(got) == len(lines) == 1399
+        assert [row for row, want in zip(got, lines) if row != want] == []
