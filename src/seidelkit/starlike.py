@@ -8,7 +8,9 @@ unitary conjugation, L(G') (resp. Q(G')) shares its spectrum with L(G)
 
 The projection is only well defined when the switched matrix is realizable
 as a Laplacian again; the starlike conditions checked here are sufficient
-for that, not necessary.
+for that, not necessary. They read the hub table of `switching`; a
+category-2 hub's half is one count, of the vertices it shares with its
+cell's first category-2 hub: n/2 for the same half, 0 for the complement.
 """
 
 from __future__ import annotations
@@ -65,18 +67,6 @@ class StarlikeCellProfile:
     r: int
 
 
-def _uniform_weights(blocks: _Partitioned, x: np.ndarray, mask: np.ndarray):
-    """Per cell, the single weight that the entries of the hub x cell-vertex
-    array `x` under `mask` carry (0.0 when none is nonzero), and whether they
-    fail to carry a single one."""
-    nonzero = blocks.per_cell(np.logical_or, np.any(mask & (x != 0), axis=0), axis=0)
-    zero = blocks.per_cell(np.logical_or, np.any(mask & (x == 0), axis=0), axis=0)
-    hi = np.where(mask, x, -np.inf).max(axis=0, initial=-np.inf)
-    lo = np.where(mask, x, np.inf).min(axis=0, initial=np.inf)
-    hi, lo = blocks.per_cell(np.maximum, hi, axis=0), blocks.per_cell(np.minimum, lo, axis=0)
-    return np.where(nonzero, hi, 0.0), nonzero & (zero | (hi != lo))
-
-
 def validate_starlike(g: WeightedDigraph, part: SeidelPartition) -> list[StarlikeCellProfile]:
     """Check the starlike conditions on top of the switching-graph ones.
 
@@ -85,10 +75,8 @@ def validate_starlike(g: WeightedDigraph, part: SeidelPartition) -> list[Starlik
     cell come in an even number, split evenly between one half of the cell
     and its complement, again with one weight per direction.
     """
-    blocks, category = _checked(g, part)
-    if not part.cells:
-        return []
-    k, m, sizes, d = len(part.cells), blocks.m, blocks.sizes, part.d_cell
+    blocks, table = _checked(g, part)
+    k, m, sizes = len(part.cells), blocks.m, blocks.sizes
     cell_of = np.repeat(np.arange(k), sizes)  # cell of each cell vertex, in partition order
     cross = (blocks.p[:m, :m] != 0) & (cell_of[:, None] != cell_of)
     if cross.any():
@@ -98,51 +86,54 @@ def validate_starlike(g: WeightedDigraph, part: SeidelPartition) -> list[Starlik
         i, i2 = cell_of[rows[j]], cell_of[cols[j]]
         raise CrossCellEdge(f"edge ({u}, {v}) joins cell {i} to cell {i2}")
 
-    outgoing, incoming = blocks.p[m:, :m], blocks.p[:m, m:].T  # hub x cell vertex
-    attached = (outgoing != 0) | (incoming != 0)
-    cat1, cat2 = (np.repeat((category == c).T, sizes, axis=1) for c in (1, 2))
+    category, cat2 = table.category, table.category == 2
+    p, q, r = (np.count_nonzero(category == c, axis=1) for c in (1, 2, 3))
     # every category-2 hub must attach to the half of its cell's first one,
     # or to the complement, as many to each
     reference = np.zeros(m, dtype=bool)
-    if d:
-        reference = attached[np.argmax(category == 2, axis=1)[cell_of], np.arange(m)]
-    same = blocks.per_cell(np.logical_and, attached == reference).T & (category == 2)
-    flipped = blocks.per_cell(np.logical_and, attached != reference).T & (category == 2)
-    p, q, r = (np.count_nonzero(category == c, axis=1) for c in (1, 2, 3))
-    broken = (q > 0) & (np.any((category == 2) & ~(same | flipped), axis=1) | ~flipped.any(axis=1))
-    weights, faults = zip(*(_uniform_weights(blocks, x, mask) for x, mask in (
-        (outgoing, cat1), (incoming, cat1), (outgoing, cat2 & attached), (incoming, cat2 & attached)
-    )))
+    if q.any():
+        reference = table.attached[np.arange(m), np.argmax(cat2, axis=1)[cell_of]]
+    overlap = blocks.per_cell(np.add, table.attached & reference[:, None], axis=0)
+    same, flipped = cat2 & (2 * overlap == sizes[:, None]), cat2 & (overlap == 0)
+    broken = (q > 0) & (np.any(cat2 & ~(same | flipped), axis=1) | ~flipped.any(axis=1))
 
-    def nonuniform(error, x, mask):
+    # per category (1, 2) and direction: the one weight the hubs carry where
+    # they attach (0.0 for none), and whether they carry more than one
+    mask = np.stack((category == 1, cat2))[:, None]
+    nonzero = (mask & (table.present > 0)).any(axis=3)
+    zero = (mask & (table.present < table.count)).any(axis=3)
+    hi = np.where(mask, table.hi, -np.inf).max(axis=3, initial=-np.inf)
+    lo = np.where(mask, table.lo, np.inf).min(axis=3, initial=np.inf)
+    weights = np.where(nonzero, hi, 0.0).reshape(4, k)
+    faults = (nonzero & (zero | (hi != lo))).reshape(4, k)
+
+    def nonuniform(error, c, direction):
         def make(i):
-            s, n = blocks.starts[i], sizes[i]
-            values = x[:, s : s + n][mask[:, s : s + n]]
+            s, n, hubs = blocks.starts[i], sizes[i], category[i] == c
+            values = table.w[direction][s : s + n, hubs][table.attached[s : s + n, hubs]]
             return error(f"cell {i}: weights {np.unique(values).tolist()} are not uniform")
 
         return make
 
     def not_halves(i):
         s, n = blocks.starts[i], sizes[i]
-        halves = len(np.unique(attached[category[i] == 2, s : s + n], axis=0))
-        if halves != 2:
-            return NonComplementaryHalves(
-                f"cell {i}: category-2 vertices use {halves} distinct halves"
-            )
-        return NonComplementaryHalves(f"cell {i}: attachment halves are not complementary")
+        halves = len(np.unique(table.attached[s : s + n, cat2[i]].T, axis=0))
+        return NonComplementaryHalves(f"cell {i}: category-2 vertices use {halves} distinct halves"
+                                      if halves != 2 else
+                                      f"cell {i}: attachment halves are not complementary")
 
     raise_first(
-        (faults[0], nonuniform(NonuniformCategory1Weights, outgoing, cat1)),
-        (faults[1], nonuniform(NonuniformCategory1Weights, incoming, cat1)),
+        (faults[0], nonuniform(NonuniformCategory1Weights, 1, 0)),
+        (faults[1], nonuniform(NonuniformCategory1Weights, 1, 1)),
         (q % 2 != 0, lambda i: OddCategory2Count(f"cell {i} has {q[i]} category-2 hub vertices")),
         (broken, not_halves),
         (same.sum(axis=1) != flipped.sum(axis=1), lambda i: NonComplementaryHalves(
             f"cell {i}: halves carry {same[i].sum()} and {flipped[i].sum()} vertices")),
-        (faults[2], nonuniform(NonuniformCategory2Weights, outgoing, cat2 & attached)),
-        (faults[3], nonuniform(NonuniformCategory2Weights, incoming, cat2 & attached)),
+        (faults[2], nonuniform(NonuniformCategory2Weights, 2, 0)),
+        (faults[3], nonuniform(NonuniformCategory2Weights, 2, 1)),
     )
     return [
-        StarlikeCellProfile(i, *(float(w[i]) for w in weights), int(p[i]), int(q[i]), int(r[i]))
+        StarlikeCellProfile(i, *(float(w) for w in weights[:, i]), int(p[i]), int(q[i]), int(r[i]))
         for i in range(k)
     ]
 

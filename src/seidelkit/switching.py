@@ -18,12 +18,22 @@ from cell sums of the dense adjacency matrix:
     so rounding cannot create or remove an edge there. U_C B U_C = B holds
     for an interior B exactly when its signed row and column sums are
     constant, which validation checks.
+  * a recomputed weight within EXACT_TOL (1 + max |entry|) of zero is set to
+    0: it is the rounding residue of a weight that cancels, not an edge.
+
+Every per-cell check of `validate_seidel` and `validate_starlike` reads one
+hub table, built once per call by `_checked` from the hub weights
+w[direction, cell vertex, hub] (direction 0 outgoing, 1 incoming): per
+direction, cell and hub the count, min and max of the nonzero weights; per
+cell and hub the count of attached cell vertices and the category (1 for
+all, 2 for half, 3 for none, 0 for any other count).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import chain
+from types import SimpleNamespace
 from typing import Sequence
 
 import numpy as np
@@ -225,6 +235,9 @@ class _Partitioned:
             out[:m, :m] -= np.repeat(rows2[:m], sizes, axis=1)
             out[:m, :m] -= np.repeat(cols2[:, :m], sizes, axis=0)
             out[:m, :m] += np.repeat(np.repeat(four, sizes, axis=0), sizes, axis=1)
+            top = np.max(np.abs(p))  # snap rounding residues, as the module docstring says
+            for block in (out[:m], out[m:, :m]):
+                block[_within(block, EXACT_TOL, top)] = 0.0
             for s, n in zip(self.starts, sizes):
                 out[s : s + n, s : s + n] = p[s : s + n, s : s + n]
         result = np.empty_like(out)
@@ -232,16 +245,9 @@ class _Partitioned:
         return result
 
 
-def _equal_within(values: np.ndarray, starts) -> np.ndarray:
-    """For each segment of `values` (one begins at each of `starts`), whether
-    its entries are equal under the tolerance rule with EXACT_TOL."""
-    spread = np.maximum.reduceat(values, starts) - np.minimum.reduceat(values, starts)
-    return spread <= EXACT_TOL * (1.0 + np.maximum.reduceat(np.abs(values), starts))
-
-
-def _checked(g: WeightedDigraph, part: SeidelPartition) -> tuple[_Partitioned, np.ndarray]:
+def _checked(g: WeightedDigraph, part: SeidelPartition) -> tuple[_Partitioned, SimpleNamespace]:
     """Run the checks of `validate_seidel`; return the adjacency matrix in
-    partition order and the cell x hub array of categories."""
+    partition order and its hub table."""
     part.check_cover(g.order)
     blocks = _Partitioned(adjacency_matrix(g), part.cells, part.d_cell)
     m, d, order = blocks.m, part.d_cell, g.order
@@ -249,50 +255,52 @@ def _checked(g: WeightedDigraph, part: SeidelPartition) -> tuple[_Partitioned, n
     # (column) sums are the sums of its rows (columns) over its own vertices
     starts = blocks.starts.tolist() + ([m] if d else [])
     part_of = np.repeat(np.arange(len(starts)), np.diff(starts + [order]))
-    irregular = np.zeros(len(starts), dtype=bool)
-    for weights in (np.abs(blocks.p), blocks.p):
-        rows = np.add.reduceat(weights, starts, axis=1)[np.arange(order), part_of]
-        cols = np.add.reduceat(weights, starts, axis=0)[part_of, np.arange(order)]
-        irregular |= ~(_equal_within(rows, starts) & _equal_within(cols, starts))
+    both = np.stack((np.abs(blocks.p), blocks.p))
+    sums = np.concatenate((np.add.reduceat(both, starts, axis=2)[:, np.arange(order), part_of],
+                           np.add.reduceat(both, starts, axis=1)[:, part_of, np.arange(order)]))
+    hi, neg_lo = np.maximum.reduceat(np.stack((sums, -sums)), starts, axis=2)
+    irregular = (hi + neg_lo > EXACT_TOL * (1.0 + np.maximum(hi, neg_lo))).any(axis=0)
     labels = [f"cell {i}" for i in range(len(part.cells))] + ["D"]
     raise_first((irregular, lambda i: NotRegularInduced(
         f"induced subgraph on {labels[i]} is not regular")))
-    if not part.cells:
-        return blocks, np.zeros((0, len(d)), dtype=np.intp)
-    # hub x cell-vertex weights per direction; per-cell results are cell x hub,
-    # so that raveling them walks cells first and then hubs, as the checks do
-    outgoing, incoming = blocks.p[m:, :m], blocks.p[:m, m:].T
-    attached = (outgoing != 0) | (incoming != 0)
-    sizes = blocks.sizes[:, None]
-    count = blocks.per_cell(np.add, attached.astype(np.intp)).T
-    category = np.select([count == 0, count == sizes, 2 * count == sizes], [3, 1, 2], 0)
+    # the hub table; per-cell arrays put cells before hubs, so that raveling
+    # one walks cells first and then hubs, as the checks do
+    w = np.stack((blocks.p[m:, :m].T, blocks.p[:m, m:]))
+    nonzero = w != 0
+    attached = nonzero[0] | nonzero[1]
+    count, sizes = blocks.per_cell(np.add, attached, axis=0), blocks.sizes[:, None]
+    table = SimpleNamespace(
+        w=w, attached=attached, count=count, present=blocks.per_cell(np.add, nonzero, axis=1),
+        hi=blocks.per_cell(np.maximum, np.where(nonzero, w, -np.inf), axis=1),
+        lo=blocks.per_cell(np.minimum, np.where(nonzero, w, np.inf), axis=1),
+        category=np.select([count == 0, count == sizes, 2 * count == sizes], [3, 1, 2], 0),
+    )
 
-    def fault(error, text, weights=outgoing):
+    def fault(error, text, direction=0):
         def make(j):
             i, h = divmod(j, len(d))
             s, n = blocks.starts[i], blocks.sizes[i]
-            row = weights[h, s : s + n]
-            return error(text.format(v=d[h], i=i, count=count[i, h], n=n, w=row[row != 0]))
+            row = w[direction, s : s + n, h]
+            allowed = f"0, {n // 2} or {n}" if n % 2 == 0 else f"0 or {n}"
+            return error(text.format(v=d[h], i=i, count=count[i, h], allowed=allowed,
+                                     w=row[row != 0]))
 
         return make
 
-    checks = [((category == 0).ravel(), fault(BadAdjacencyCount,
-        "hub {v} is adjacent to {count} vertices of cell {i}; allowed counts are 0, {n} or n/2"))]
-    for name, weights in (("outgoing", outgoing), ("incoming", incoming)):
-        present = weights != 0
-        hi = blocks.per_cell(np.maximum, np.where(present, weights, -np.inf)).T
-        lo = blocks.per_cell(np.minimum, np.where(present, weights, np.inf)).T
-        scale = 1.0 + blocks.per_cell(np.maximum, np.abs(weights)).T
-        spans = (category == 2) & (hi > -np.inf)  # half-attached, with edges this way
-        partial = spans & blocks.per_cell(np.logical_or, present != attached).T
+    spans = (table.category == 2) & (table.present > 0)  # half-attached, with edges this way
+    partial = spans & (table.present < count)
+    uneven = spans & (table.hi - table.lo > EXACT_TOL * (1.0 + np.maximum(table.hi, -table.lo)))
+    checks = [((table.category == 0).ravel(), fault(BadAdjacencyCount,
+        "hub {v} is adjacent to {count} vertices of cell {i}; allowed counts are {allowed}"))]
+    for k, name in enumerate(("outgoing", "incoming")):
         checks += [
-            (partial.ravel(), fault(UnequalWeights,
+            (partial[k].ravel(), fault(UnequalWeights,
                 f"hub {{v}} / cell {{i}}: {name} edges cover only part of the attachment")),
-            ((spans & (hi - lo > EXACT_TOL * scale)).ravel(), fault(UnequalWeights,
-                f"hub {{v}} / cell {{i}}: unequal {name} weights {{w}}", weights)),
+            (uneven[k].ravel(), fault(UnequalWeights,
+                f"hub {{v}} / cell {{i}}: unequal {name} weights {{w}}", k)),
         ]
     raise_first(*checks)
-    return blocks, category
+    return blocks, table
 
 
 def validate_seidel(g: WeightedDigraph, part: SeidelPartition) -> CategoryReport:
@@ -305,7 +313,7 @@ def validate_seidel(g: WeightedDigraph, part: SeidelPartition) -> CategoryReport
     case, (d) parallel edges only occur as oppositely oriented pairs, which
     the graph model guarantees.
     """
-    d, category = part.d_cell, _checked(g, part)[1]
+    d, category = part.d_cell, _checked(g, part)[1].category
     categories = {(i, v): c for i, row in enumerate(category.tolist()) for v, c in zip(d, row)}
     counts = zip(*(np.count_nonzero(category == c, axis=1).tolist() for c in (1, 2, 3)))
     return CategoryReport(categories=categories, counts=tuple(counts))

@@ -30,6 +30,7 @@ from seidelkit.errors import (
     NotRealizable,
     OddCategory2Count,
     OrderMismatch,
+    UnequalWeights,
 )
 
 KINDS = (SpectralKind.LAPLACIAN, SpectralKind.SIGNLESS)
@@ -110,6 +111,32 @@ class TestValidateStarlike:
         g = WeightedDigraph.from_edges(6, edges)
         part = SeidelPartition(cells=((0, 1, 2, 3),), d_cell=(4, 5))
         with pytest.raises(NonComplementaryHalves):
+            validate_starlike(g, part)
+
+    @pytest.mark.parametrize(
+        "edges, cells, d, error, where",
+        [
+            # an odd count on cell 0 comes before nonuniform weights on cell 1
+            (sym_edges([(6, 0), (6, 1)]) + sym_edges([(6, 4), (6, 5)])
+             + sym_edges([(7, 4), (7, 5)], w=2.0),
+             ((0, 1, 2, 3), (4, 5)), (6, 7), OddCategory2Count, "cell 0 has 1"),
+            # on one cell, nonuniform category-1 weights come before an odd count
+            (sym_edges([(4, 0), (4, 1), (4, 2), (4, 3)]) + sym_edges([(6, 0), (6, 1)])
+             + sym_edges([(5, 0), (5, 1), (5, 2), (5, 3)], w=2.0),
+             ((0, 1, 2, 3),), (4, 5, 6), NonuniformCategory1Weights, "cell 0: weights"),
+            # on one hub, partial outgoing edges come before unequal incoming ones
+            ([(4, 0, 1.0), (0, 4, 1.0), (1, 4, 2.0)],
+             ((0, 1, 2, 3),), (4,), UnequalWeights, "hub 4 / cell 0: outgoing edges cover"),
+            # on one cell, four distinct halves come before nonuniform category-2 weights
+            (sym_edges([(4, 0), (4, 1), (5, 1), (5, 2), (6, 2), (6, 3)])
+             + sym_edges([(7, 3), (7, 0)], w=2.0),
+             ((0, 1, 2, 3),), (4, 5, 6, 7), NonComplementaryHalves, "use 4 distinct halves"),
+        ],
+    )
+    def test_first_fault_is_reported(self, edges, cells, d, error, where):
+        part = SeidelPartition(cells=cells, d_cell=d)
+        g = WeightedDigraph.from_edges(len(part.members()), edges)
+        with pytest.raises(error, match=where):
             validate_starlike(g, part)
 
     def test_random_instances_validate(self, rng):

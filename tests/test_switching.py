@@ -32,6 +32,15 @@ from seidelkit.errors import (
 
 PAULI_X = np.array([[0.0, 1.0], [1.0, 0.0]])
 
+# a directed 3-cycle on cell (0, 1, 2) with hub 3
+CYCLE_PART = SeidelPartition(cells=((0, 1, 2),), d_cell=(3,))
+
+
+def cycle_with_hub(x0, x1, x2):
+    """The directed 3-cycle of weight 1, hub 3 sending x0, x1, x2 to the cell."""
+    edges = [(0, 1, 1.0), (1, 2, 1.0), (2, 0, 1.0), (3, 0, x0), (3, 1, x1), (3, 2, x2)]
+    return WeightedDigraph.from_edges(4, edges)
+
 
 def constant_row_sum_matrix(rng, m, n):
     """Random integer matrix whose rows all sum to the same value."""
@@ -280,6 +289,14 @@ class TestValidateSeidel:
         with pytest.raises(error, match=where):
             validate_seidel(g, part)
 
+    @pytest.mark.parametrize("cell, allowed", [((0, 1, 2), "0 or 3"), ((0, 1, 2, 3), "0, 2 or 4")])
+    def test_bad_adjacency_count_names_the_allowed_counts(self, cell, allowed):
+        hub = len(cell)
+        g = WeightedDigraph.from_edges(hub + 1, [(hub, 0, 1.0)])
+        part = SeidelPartition(cells=(cell,), d_cell=(hub,))
+        with pytest.raises(BadAdjacencyCount, match=f"cell 0; allowed counts are {allowed}$"):
+            validate_seidel(g, part)
+
 
 class TestSwitch:
     def test_complete_graph_fixed(self):
@@ -336,6 +353,26 @@ class TestSwitch:
         part = SeidelPartition(cells=((0, 1, 2),), d_cell=(3,))
         with pytest.raises(BadAdjacencyCount):
             switch(g, part)
+
+    def test_switched_weights_that_cancel_are_zero(self):
+        # x0 = 2 mean(x), so w(3, 0) switches to zero; rounding may leave a
+        # residue near 1e-16, which must not survive as an edge
+        rng = np.random.default_rng(0)
+        residues = []
+        for _ in range(5000):
+            x1, x2 = rng.integers(1, 101, 2) / 100
+            w = switch(cycle_with_hub(2 * (x1 + x2), x1, x2), CYCLE_PART).weight(3, 0)
+            if w != 0.0:
+                residues.append(w)
+        assert residues == []
+
+    def test_switch_can_leave_a_graph_that_does_not_switch_again(self):
+        # hub 3 meets all three cell vertices; after the switch it meets two,
+        # so the result is cospectral but no switching graph for the partition
+        result = switch(cycle_with_hub(4.0, 1.0, 1.0), CYCLE_PART, verify=True)
+        assert [result.weight(3, v) for v in range(3)] == [0.0, 3.0, 3.0]
+        with pytest.raises(BadAdjacencyCount, match="hub 3 is adjacent to 2 vertices"):
+            switch(result, CYCLE_PART)
 
     def test_verify_scales_with_the_weights(self):
         g, part = heavy_cycle_instance()
