@@ -92,6 +92,9 @@ def cmd_validate(args) -> int:
 
 
 def cmd_switch(args) -> int:
+    if args.force and args.kind == "adjacency":
+        print("error: --force applies only to --kind laplacian or signless", file=sys.stderr)
+        return 2
     doc = io.read_document(args.path)
     part = _require_partition(doc, args.path)
     g = doc.graph()
@@ -189,7 +192,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--kind", choices=("adjacency", "laplacian", "signless"), default="adjacency")
     p.add_argument("--out")
     p.add_argument("--verify", action="store_true", help="cross-check against U A U and spectra")
-    p.add_argument("--force", action="store_true", help="skip starlike validation")
+    p.add_argument("--force", action="store_true", help="skip starlike validation (L, Q only)")
     p.set_defaults(fn=cmd_switch)
 
     p = sub.add_parser("spectra", help="print the ascending spectrum")

@@ -200,9 +200,9 @@ def lq_switch(
     this is the unique choice that both satisfies L(G') = M' and keeps the
     loop diagonal invariant.
 
-    force=True skips the starlike validation and instead checks the claimed
-    cospectrality after the fact, for inputs that switch cleanly without
-    satisfying the (merely sufficient) starlike conditions.
+    force=True skips the starlike validation, for inputs that switch cleanly
+    without the (merely sufficient) starlike conditions, and certifies
+    M(G') = U M U instead, as verify=True does.
     """
     if not force:
         validate_starlike(g, part)
@@ -214,7 +214,7 @@ def lq_switch(
         np.fill_diagonal(out, np.diagonal(adjacency_matrix(g)))
     result = WeightedDigraph.from_adjacency(out)
     if force or verify:
-        _verify_switch(m, spectral_matrix(result, kind), part if verify else None)
+        _verify_switch(m, spectral_matrix(result, kind), part)
     return result
 
 

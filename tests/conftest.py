@@ -165,6 +165,19 @@ def heavy_cycle_instance() -> tuple[WeightedDigraph, SeidelPartition]:
     return WeightedDigraph(4, edges), SeidelPartition(cells=((0, 1, 2),), d_cell=(3,))
 
 
+# two cells of 3 joined by a mirrored cross block, and three isolated hubs
+MIRRORED_PART = SeidelPartition(cells=((0, 1, 2), (3, 4, 5)), d_cell=(6, 7, 8))
+
+
+def mirrored_cross_block_instance(rng) -> WeightedDigraph:
+    """Symmetric graph on MIRRORED_PART whose only edges join its two cells,
+    with one-decimal weights in [0.1, 1]; a switch of it rounds."""
+    a = np.zeros((9, 9))
+    a[:3, 3:6] = np.round(rng.uniform(0.1, 1, (3, 3)), 1)
+    a[3:6, :3] = a[:3, 3:6].T
+    return WeightedDigraph.from_adjacency(a)
+
+
 def random_orthogonal(rng, n: int) -> np.ndarray:
     q, r = np.linalg.qr(rng.normal(size=(n, n)))
     return q * np.sign(np.diag(r))
@@ -199,6 +212,17 @@ def char_poly_exact(a) -> tuple:
         c = -sum(m[i][i] for i in range(n)) / k
         coeffs.append(c)
     return tuple(coeffs)
+
+
+@pytest.fixture
+def eigensolves(monkeypatch):
+    """The matrices passed to np.linalg.eigvals and eigvalsh during the test."""
+    calls = []
+    for solver in ("eigvals", "eigvalsh"):
+        original = getattr(np.linalg, solver)
+        monkeypatch.setattr(np.linalg, solver,
+                            lambda m, *args, f=original, **kw: calls.append(m) or f(m, *args, **kw))
+    return calls
 
 
 @pytest.fixture

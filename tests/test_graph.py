@@ -250,6 +250,15 @@ class TestCospectral:
         assert spectral_gap(a, np.zeros((2, 2))) == float("inf")
         assert spectral_gap(np.eye(2), 2 * np.eye(2)) == 1.0
 
+    @pytest.mark.xfail(strict=True, reason="known false negative: the eigensolver spreads a "
+                       "4x4 Jordan block beyond the cluster radius; the exact fallback for "
+                       "cospectral of ROADMAP item 2 (characteristic polynomials over GF(p)) "
+                       "would accept it")
+    def test_jordan_block_and_its_conjugate(self):
+        a = np.eye(4) + np.eye(4, k=1)
+        u = seidel_matrix(4)
+        assert cospectral(a, u @ a @ u)
+
 
 class TestLaplacianPSD:
     def test_nonnegative_weight_graphs(self, rng):

@@ -1,6 +1,5 @@
 """Document format, fixtures and the command-line interface."""
 
-import numpy as np
 import pytest
 from conftest import heavy_cycle_instance
 
@@ -159,18 +158,22 @@ class TestCli:
         assert "max spectral gap" in capsys.readouterr().out
 
     @pytest.mark.parametrize(
-        "name, kind, solves", [("fig2", "adjacency", 2), ("fig4_left", "laplacian", 4)]
+        "name, kind, solves", [("fig2", "adjacency", 2), ("fig4_left", "laplacian", 2)]
     )
     def test_switch_verify_solves_each_spectrum_once(
-        self, name, kind, solves, tmp_path, monkeypatch
+        self, name, kind, solves, tmp_path, eigensolves
     ):
+        # the two spectra printed; the switch itself is certified by U M U
         path = fixture_file(name, tmp_path)
-        calls = []
-        for solver in ("eigvals", "eigvalsh"):
-            original = getattr(np.linalg, solver)
-            monkeypatch.setattr(np.linalg, solver, lambda m, f=original: calls.append(m) or f(m))
         assert main(["--quiet", "switch", path, "--kind", kind, "--verify"]) == 0
-        assert len(calls) == solves
+        assert len(eigensolves) == solves
+
+    def test_switch_force_needs_a_laplacian_kind(self, tmp_path, capsys):
+        path = fixture_file("fig2", tmp_path)
+        assert main(["switch", path, "--kind", "adjacency", "--force"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "--force applies only to --kind laplacian or signless" in captured.err
 
     def test_switch_laplacian_matches_fixture(self, tmp_path):
         out_path = tmp_path / "switched.graph"

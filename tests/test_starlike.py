@@ -2,7 +2,7 @@
 
 import numpy as np
 import pytest
-from conftest import random_starlike_instance
+from conftest import MIRRORED_PART, mirrored_cross_block_instance, random_starlike_instance
 
 from seidelkit import (
     SeidelPartition,
@@ -32,6 +32,8 @@ from seidelkit.errors import (
     OrderMismatch,
     UnequalWeights,
 )
+
+C4 = [(0, 1), (1, 2), (2, 3), (3, 0)]  # the 4-cycle on cell (0, 1, 2, 3)
 
 KINDS = (SpectralKind.LAPLACIAN, SpectralKind.SIGNLESS)
 
@@ -69,10 +71,11 @@ class TestValidateStarlike:
             validate_starlike(doc.graph(), doc.partition)
 
     def test_cross_cell_edge(self):
-        edges = sym_edges([(0, 1), (2, 3)]) + [(0, 2, 1.0), (2, 0, 1.0)]
-        g = WeightedDigraph.from_edges(4, edges)
-        part = SeidelPartition(cells=((0, 1), (2, 3)))
-        with pytest.raises(CrossCellEdge):
+        # cells are listed out of vertex order, so cell indices and vertex
+        # numbers differ; (3, 0) runs from cell 0 to cell 1
+        g = WeightedDigraph.from_edges(4, sym_edges([(0, 1), (2, 3), (3, 0)]))
+        part = SeidelPartition(cells=((2, 3), (0, 1)))
+        with pytest.raises(CrossCellEdge, match=r"edge \(3, 0\) joins cell 0 to cell 1$"):
             validate_starlike(g, part)
 
     def test_fig5_fails_on_cross_edges(self):
@@ -91,11 +94,22 @@ class TestValidateStarlike:
             validate_starlike(g, part)
 
     def test_nonuniform_category2(self):
-        edges = sym_edges([(0, 1), (1, 2), (2, 3), (3, 0)])
+        edges = sym_edges(C4)
         edges += sym_edges([(4, 0), (4, 1)], w=1.0) + sym_edges([(5, 2), (5, 3)], w=2.0)
         g = WeightedDigraph.from_edges(6, edges)
         part = SeidelPartition(cells=((0, 1, 2, 3),), d_cell=(4, 5))
-        with pytest.raises(NonuniformCategory2Weights):
+        with pytest.raises(NonuniformCategory2Weights,
+                           match=r"^cell 0: weights \[1\.0, 2\.0\] are not uniform$"):
+            validate_starlike(g, part)
+
+    def test_nonuniform_incoming_category2(self):
+        # both hubs send 1 to their half; hub 5 receives 3 where hub 4 receives 1
+        edges = sym_edges(C4) + sym_edges([(4, 0), (4, 1)])
+        edges += [(5, 2, 1.0), (5, 3, 1.0), (2, 5, 3.0), (3, 5, 3.0)]
+        g = WeightedDigraph.from_edges(6, edges)
+        part = SeidelPartition(cells=((0, 1, 2, 3),), d_cell=(4, 5))
+        with pytest.raises(NonuniformCategory2Weights,
+                           match=r"^cell 0: weights \[1\.0, 3\.0\] are not uniform$"):
             validate_starlike(g, part)
 
     def test_odd_category2_count(self):
@@ -106,11 +120,20 @@ class TestValidateStarlike:
             validate_starlike(g, part)
 
     def test_noncomplementary_halves(self):
-        edges = sym_edges([(0, 1), (1, 2), (2, 3), (3, 0)])
-        edges += sym_edges([(4, 0), (4, 1)]) + sym_edges([(5, 1), (5, 2)])
+        # two halves that overlap in vertex 1
+        edges = sym_edges(C4) + sym_edges([(4, 0), (4, 1)]) + sym_edges([(5, 1), (5, 2)])
         g = WeightedDigraph.from_edges(6, edges)
         part = SeidelPartition(cells=((0, 1, 2, 3),), d_cell=(4, 5))
-        with pytest.raises(NonComplementaryHalves):
+        with pytest.raises(NonComplementaryHalves,
+                           match="^cell 0: attachment halves are not complementary$"):
+            validate_starlike(g, part)
+
+    def test_halves_carry_unequal_counts(self):
+        # complementary halves, but three hubs on one and one on the other
+        halves = [(4, 0), (4, 1), (5, 0), (5, 1), (6, 0), (6, 1), (7, 2), (7, 3)]
+        g = WeightedDigraph.from_edges(8, sym_edges(C4) + sym_edges(halves))
+        part = SeidelPartition(cells=((0, 1, 2, 3),), d_cell=(4, 5, 6, 7))
+        with pytest.raises(NonComplementaryHalves, match="^cell 0: halves carry 3 and 1 vertices$"):
             validate_starlike(g, part)
 
     @pytest.mark.parametrize(
@@ -261,6 +284,35 @@ class TestLqSwitch:
             lq_switch(left.graph(), left.partition, SpectralKind.LAPLACIAN)
         result = lq_switch(left.graph(), left.partition, SpectralKind.LAPLACIAN, force=True)
         assert result == load_fixture("fig5_right").graph()
+
+    def test_force_certifies_like_verify(self):
+        # force skips validation but certifies M(G') = U M U exactly as verify
+        # does, at weights that round
+        rng = np.random.default_rng(4)
+        for _ in range(100):
+            g, part = random_starlike_instance(rng)
+            for scale in (0.1, 1 / 3, 7.3e3):
+                h = WeightedDigraph.from_adjacency(scale * adjacency_matrix(g))
+                for kind in KINDS:
+                    assert lq_switch(h, part, kind, force=True) == lq_switch(
+                        h, part, kind, verify=True)
+
+    def test_force_and_verify_run_no_eigensolver(self, eigensolves):
+        for name, force in (("fig5_left", True), ("fig4_left", False)):
+            doc = load_fixture(name)
+            lq_switch(doc.graph(), doc.partition, SpectralKind.LAPLACIAN,
+                      force=force, verify=not force)
+        assert eigensolves == []
+
+    def test_forced_symmetric_input_fails_on_realizability(self):
+        # the switch keeps the input symmetric, so a forced switch that is not
+        # realizable reports that, never AsymmetricWeights
+        rng = np.random.default_rng(0)
+        for kind, error in ((SpectralKind.SIGNLESS, NegativeLoopWeight),
+                            (SpectralKind.LAPLACIAN, NotRealizable)):
+            for _ in range(1000):
+                with pytest.raises(error):
+                    lq_switch(mirrored_cross_block_instance(rng), MIRRORED_PART, kind, force=True)
 
     def test_fig5_cospectral_but_not_isomorphic(self):
         left = load_fixture("fig5_left").graph()

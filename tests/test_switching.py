@@ -2,7 +2,13 @@
 
 import numpy as np
 import pytest
-from conftest import char_poly_exact, heavy_cycle_instance, random_seidel_instance
+from conftest import (
+    MIRRORED_PART,
+    char_poly_exact,
+    heavy_cycle_instance,
+    mirrored_cross_block_instance,
+    random_seidel_instance,
+)
 
 from seidelkit import (
     SeidelOperator,
@@ -12,6 +18,7 @@ from seidelkit import (
     block_seidel,
     cospectral,
     flip_half_pattern,
+    load_fixture,
     seidel_matrix,
     switch,
     switch_cross_block,
@@ -377,6 +384,21 @@ class TestSwitch:
     def test_verify_scales_with_the_weights(self):
         g, part = heavy_cycle_instance()
         assert switch(g, part, verify=True) == g
+
+    def test_verify_runs_no_eigensolver(self, eigensolves):
+        doc = load_fixture("fig3")
+        switch(doc.graph(), doc.partition, verify=True)
+        assert eigensolves == []
+
+    def test_symmetric_input_switches_to_a_symmetric_result(self):
+        # one-decimal cross weights round, and (i, j) and (j, i) must round alike
+        rng = np.random.default_rng(1)
+        asymmetric = 0
+        for _ in range(2000):
+            result = adjacency_matrix(
+                switch(mirrored_cross_block_instance(rng), MIRRORED_PART, verify=True))
+            asymmetric += not np.array_equal(result, result.T)
+        assert asymmetric == 0
 
     def test_verify_rejects_a_wrong_conjugation(self, monkeypatch):
         conjugated = switching._Partitioned.conjugated
