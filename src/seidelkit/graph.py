@@ -42,7 +42,8 @@ ISO_SEARCH_LIMIT = 12
 
 def _within(x, tol: float, scale) -> np.ndarray:
     """Elementwise |x| <= tol * (1 + max |entry| of scale): the tolerance rule."""
-    return np.abs(x) <= tol * (1.0 + np.max(np.abs(scale), initial=0.0))
+    top = np.maximum(np.max(scale, initial=0.0), -np.min(scale, initial=0.0))  # no |scale| array
+    return np.abs(x) <= tol * (1.0 + top)
 
 
 def _symmetric(m: np.ndarray) -> bool:

@@ -1,16 +1,15 @@
 """Laplacian- and signless-Laplacian-cospectral pairs via switching.
 
-The pipeline switches the matrix M = L(G) or Q(G), the adjacency matrix of
-the lifted graph H (every vertex gains a loop holding the diagonal), and
-projects the switched matrix back to a graph G'. Since the switch is a
-unitary conjugation, L(G') (resp. Q(G')) shares its spectrum with L(G)
-(resp. Q(G)).
+On a starlike graph all vertices of a cell have one degree, so the switching
+operator U commutes with the degree matrix Deg and U (Deg -/+ A) U =
+Deg -/+ U A U: the switch of M = L(G) or Q(G) is the switch of A, which
+keeps loops and degrees. So L(G') (resp. Q(G')) shares its spectrum with
+L(G) (resp. Q(G)), and `kind` only selects the M that a certificate checks.
 
-The projection is only well defined when the switched matrix is realizable
-as a Laplacian again; the starlike conditions checked here are sufficient
-for that, not necessary. They read the hub table of `switching`; a
-category-2 hub's half is one count, of the vertices it shares with its
-cell's first category-2 hub: n/2 for the same half, 0 for the complement.
+The starlike conditions are sufficient for this, not necessary. They read
+the hub table of `switching`; a category-2 hub's half is one count, of the
+vertices it shares with its cell's first category-2 hub: n/2 for the same
+half, 0 for the complement.
 """
 
 from __future__ import annotations
@@ -21,7 +20,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import (
-    AsymmetricWeights,
     CrossCellEdge,
     NegativeLoopWeight,
     NonComplementaryHalves,
@@ -33,9 +31,10 @@ from .errors import (
     raise_first,
 )
 from .graph import (
-    NUMERIC_TOL, WeightedDigraph, _within, adjacency_matrix, laplacian, signless_laplacian,
+    NUMERIC_TOL, WeightedDigraph, _require_symmetric_weights, _within, adjacency_matrix, laplacian,
+    signless_laplacian,
 )
-from .switching import SeidelPartition, _checked, _Partitioned, _verify_switch
+from .switching import SeidelPartition, _checked, _in_partition_order, _Partitioned, _verify_switch
 from .switching import validate_seidel  # noqa: F401  kept importable from this module
 
 
@@ -75,6 +74,12 @@ def validate_starlike(g: WeightedDigraph, part: SeidelPartition) -> list[Starlik
     cell come in an even number, split evenly between one half of the cell
     and its complement, again with one weight per direction.
     """
+    return _starlike(g, part)[1]
+
+
+def _starlike(g: WeightedDigraph, part: SeidelPartition) -> tuple[_Partitioned, list]:
+    """Run the checks of `validate_starlike`; return the adjacency matrix in
+    partition order and the cell profiles."""
     blocks, table = _checked(g, part)
     k, m, sizes = len(part.cells), blocks.m, blocks.sizes
     cell_of = np.repeat(np.arange(k), sizes)  # cell of each cell vertex, in partition order
@@ -132,7 +137,7 @@ def validate_starlike(g: WeightedDigraph, part: SeidelPartition) -> list[Starlik
         (faults[2], nonuniform(NonuniformCategory2Weights, 2, 0)),
         (faults[3], nonuniform(NonuniformCategory2Weights, 2, 1)),
     )
-    return [
+    return blocks, [
         StarlikeCellProfile(i, *(float(w) for w in weights[:, i]), int(p[i]), int(q[i]), int(r[i]))
         for i in range(k)
     ]
@@ -148,10 +153,21 @@ def lift_graph(g: WeightedDigraph, kind: SpectralKind) -> WeightedDigraph:
     return WeightedDigraph.from_adjacency(spectral_matrix(g, kind))
 
 
-def _project(m: np.ndarray, kind: SpectralKind) -> np.ndarray:
-    """Adjacency matrix of the graph G' with L(G') (or Q(G')) = m."""
-    if not np.array_equal(m, m.T):
-        raise AsymmetricWeights("projection needs a symmetric adjacency matrix")
+def project_graph(h: WeightedDigraph, kind: SpectralKind) -> WeightedDigraph:
+    """Inverse of lift_graph: recover G' with L(G') (or Q(G')) = A(H).
+
+    Signless case: off-diagonals carry over and the loop weight is
+    (a_ii - sum_j |a_ij|) / 2 per vertex, which must be nonnegative; one
+    within NUMERIC_TOL (1 + max |entry|) of 0 is dropped. The loops are
+    recomputed, so project_graph(lift_graph(g)) is exact only on dyadic
+    weights; elsewhere a loop may differ in its last bits.
+    Laplacian case: off-diagonals flip sign and no loop can contribute to
+    the diagonal (a positive loop adds |l| to the degree and cancels against
+    itself), so a_ii must equal the off-diagonal absolute row sum exactly
+    and G' is loopless.
+    """
+    _require_symmetric_weights(h)
+    m = adjacency_matrix(h)
     sign = 1.0 if kind is SpectralKind.SIGNLESS else -1.0
     diag = np.diagonal(m)
     out = sign * m + 0.0  # + 0.0 turns the -0.0 of sign * 0.0 into 0.0
@@ -166,20 +182,7 @@ def _project(m: np.ndarray, kind: SpectralKind) -> np.ndarray:
     else:
         raise_first((~_within(diag - off_sums, NUMERIC_TOL, m), lambda v: NotRealizable(
             f"vertex {v}: diagonal {diag[v]} != off-diagonal absolute sum {off_sums[v]}")))
-    return out
-
-
-def project_graph(h: WeightedDigraph, kind: SpectralKind) -> WeightedDigraph:
-    """Inverse of lift_graph: recover G' with L(G') (or Q(G')) = A(H).
-
-    Signless case: off-diagonals carry over and the loop weight is
-    (a_ii - sum_j |a_ij|) / 2 per vertex, which must be nonnegative.
-    Laplacian case: off-diagonals flip sign and no loop can contribute to
-    the diagonal (a positive loop adds |l| to the degree and cancels against
-    itself), so a_ii must equal the off-diagonal absolute row sum exactly
-    and G' is loopless.
-    """
-    return WeightedDigraph.from_adjacency(_project(adjacency_matrix(h), kind))
+    return WeightedDigraph.from_adjacency(out)
 
 
 def lq_switch(
@@ -191,30 +194,18 @@ def lq_switch(
 ) -> WeightedDigraph:
     """Produce G' sharing the Laplacian (or signless-Laplacian) spectrum of G.
 
-    Switches the spectral matrix M = L(G) or Q(G) directly, M' = U M U, and
-    projects M' back to a graph. M itself is not validated (its diagonal
-    puts unequal loops on the hub vertices, so it usually fails the
-    regularity validation even when G passes; the transform does not need
-    it). In the Laplacian case the input's loop weights are carried onto
-    G': the Laplacian of a positively-looped graph never sees its loops, so
-    this is the unique choice that both satisfies L(G') = M' and keeps the
-    loop diagonal invariant.
-
-    force=True skips the starlike validation, for inputs that switch cleanly
-    without the (merely sufficient) starlike conditions, and certifies
-    M(G') = U M U instead, as verify=True does.
+    G' is the switch of A(G): on a starlike graph each cell has one degree,
+    so U commutes with Deg and M(G') = Deg -/+ U A U = U M U. Loops and
+    degrees carry over for either kind; `kind` only selects the M = L or Q
+    that a certificate checks. force=True skips the (merely sufficient)
+    starlike validation and certifies M(G') = U M U, as verify=True does; a
+    forced switch that is not L/Q-cospectral raises VerificationFailed.
     """
-    if not force:
-        validate_starlike(g, part)
-    else:
-        part.check_cover(g.order)
-    m = spectral_matrix(g, kind)
-    out = _project(_Partitioned(m, part.cells, part.d_cell).conjugated(), kind)
-    if kind is SpectralKind.LAPLACIAN:
-        np.fill_diagonal(out, np.diagonal(adjacency_matrix(g)))
-    result = WeightedDigraph.from_adjacency(out)
+    blocks = _in_partition_order(g, part) if force else _starlike(g, part)[0]
+    _require_symmetric_weights(g)
+    result = WeightedDigraph.from_adjacency(blocks.conjugated())
     if force or verify:
-        _verify_switch(m, spectral_matrix(result, kind), part)
+        _verify_switch(spectral_matrix(g, kind), spectral_matrix(result, kind), part)
     return result
 
 

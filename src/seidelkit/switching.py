@@ -239,7 +239,7 @@ class _Partitioned:
             for s, n, c in zip(self.starts, sizes, col_part):  # no second m x m array
                 both[s : s + n] += c
             out[:m, :m] -= both
-            top = np.max(np.abs(p))  # snap rounding residues, as the module docstring says
+            top = p.min(), p.max()  # snap rounding residues, as the module docstring says
             for block in (out[:m], out[m:, :m]):
                 block[_within(block, EXACT_TOL, top)] = 0.0
             for s, n in zip(self.starts, sizes):
@@ -249,11 +249,16 @@ class _Partitioned:
         return result
 
 
+def _in_partition_order(g: WeightedDigraph, part: SeidelPartition) -> _Partitioned:
+    """The adjacency matrix of g in the order of `part`, which must cover g."""
+    part.check_cover(g.order)
+    return _Partitioned(adjacency_matrix(g), part.cells, part.d_cell)
+
+
 def _checked(g: WeightedDigraph, part: SeidelPartition) -> tuple[_Partitioned, SimpleNamespace]:
     """Run the checks of `validate_seidel`; return the adjacency matrix in
     partition order and its hub table."""
-    part.check_cover(g.order)
-    blocks = _Partitioned(adjacency_matrix(g), part.cells, part.d_cell)
+    blocks = _in_partition_order(g, part)
     m, d, order = blocks.m, part.d_cell, g.order
     # (b) for all parts at once, the cells and then D: a part's interior row
     # (column) sums are the sums of its rows (columns) over its own vertices
@@ -324,14 +329,16 @@ def validate_seidel(g: WeightedDigraph, part: SeidelPartition) -> CategoryReport
 
 
 def _verify_switch(m: np.ndarray, switched: np.ndarray, part: SeidelPartition) -> None:
-    """Raise VerificationFailed unless `switched` is U M U for the partition's
-    operator U, under the tolerance rule with EXACT_TOL; U is orthogonal, so
-    this certifies equal spectra without an eigensolver."""
+    """Raise VerificationFailed, naming the worst entry, unless `switched` is
+    U M U for the partition's operator U, under the tolerance rule with
+    EXACT_TOL; U is orthogonal, so this proves equal spectra with no eigensolver."""
     u = switching_matrix(part, len(m))
     expected = u @ m @ u
-    gap = float(np.max(np.abs(switched - expected), initial=0.0))
-    if not _within(gap, EXACT_TOL, expected):
-        raise VerificationFailed(f"switched matrix deviates from U M U by {gap:.3e}")
+    deviation = np.abs(switched - expected)
+    i, j = np.unravel_index(np.argmax(deviation), deviation.shape)
+    if not _within(deviation[i, j], EXACT_TOL, expected):
+        raise VerificationFailed(
+            f"switched matrix deviates from U M U by {deviation[i, j]:.3e} at ({i}, {j})")
 
 
 def switch(g: WeightedDigraph, part: SeidelPartition, verify: bool = False) -> WeightedDigraph:

@@ -17,6 +17,8 @@ from seidelkit import (
     lq_switch,
     project_graph,
     spectral_matrix,
+    starlike,
+    switch,
     switching_matrix,
     validate_starlike,
 )
@@ -31,6 +33,7 @@ from seidelkit.errors import (
     OddCategory2Count,
     OrderMismatch,
     UnequalWeights,
+    VerificationFailed,
 )
 
 C4 = [(0, 1), (1, 2), (2, 3), (3, 0)]  # the 4-cycle on cell (0, 1, 2, 3)
@@ -306,13 +309,58 @@ class TestLqSwitch:
 
     def test_forced_symmetric_input_fails_on_realizability(self):
         # the switch keeps the input symmetric, so a forced switch that is not
-        # realizable reports that, never AsymmetricWeights
+        # L/Q-cospectral fails the U M U certificate, never on AsymmetricWeights
         rng = np.random.default_rng(0)
-        for kind, error in ((SpectralKind.SIGNLESS, NegativeLoopWeight),
-                            (SpectralKind.LAPLACIAN, NotRealizable)):
+        for kind in KINDS:
             for _ in range(1000):
-                with pytest.raises(error):
+                with pytest.raises(VerificationFailed, match=r"U M U .* at \("):
                     lq_switch(mirrored_cross_block_instance(rng), MIRRORED_PART, kind, force=True)
+
+    def test_signless_switch_keeps_loops_at_weights_that_round(self):
+        rng = np.random.default_rng(5)
+        changed = 0
+        for _ in range(1500):
+            g, part = random_starlike_instance(rng)
+            for scale in (0.1, 1 / 3, 7.3e3):
+                h = WeightedDigraph.from_adjacency(scale * adjacency_matrix(g))
+                changed += not loop_weights_preserved(h, lq_switch(h, part, SpectralKind.SIGNLESS))
+        assert changed == 0
+
+    def test_tiny_loops_survive(self):
+        # loops far below NUMERIC_TOL are weights of G, not rounding residues
+        edges = sym_edges([(0, 1), (2, 3)]) + [(0, 0, 1e-10), (1, 1, 1e-10)]
+        g = WeightedDigraph.from_edges(4, edges)
+        part = SeidelPartition(cells=((0, 1),), d_cell=(2, 3))
+        result = lq_switch(g, part, SpectralKind.SIGNLESS, verify=True)
+        assert result.loop(0) == 1e-10 and result.loop(1) == 1e-10
+
+    def test_asymmetric_input_rejected(self):
+        # a directed 3-cycle is a valid starlike cell, but has no Laplacian
+        g = WeightedDigraph.from_edges(3, [(0, 1, 1.0), (1, 2, 1.0), (2, 0, 1.0)])
+        part = SeidelPartition(cells=((0, 1, 2),))
+        validate_starlike(g, part)
+        for kind in KINDS:
+            for force in (False, True):
+                with pytest.raises(AsymmetricWeights, match=r"^w\(0, 1\) = 1\.0 but w\(1, 0\)"):
+                    lq_switch(g, part, kind, force=force)
+
+    def test_is_the_adjacency_switch(self):
+        rng = np.random.default_rng(6)
+        for _ in range(200):
+            g, part = random_starlike_instance(rng)
+            for kind in KINDS:
+                assert lq_switch(g, part, kind) == switch(g, part)
+
+    @pytest.mark.parametrize("verify, calls", [(False, 0), (True, 2)])
+    def test_spectral_matrix_only_for_the_certificate(self, monkeypatch, verify, calls):
+        seen = []
+        monkeypatch.setattr(starlike, "spectral_matrix",
+                            lambda g, kind, f=spectral_matrix: seen.append(kind) or f(g, kind))
+        doc = load_fixture("fig4_left")
+        for kind in KINDS:
+            seen.clear()
+            lq_switch(doc.graph(), doc.partition, kind, verify=verify)
+            assert seen == [kind] * calls
 
     def test_fig5_cospectral_but_not_isomorphic(self):
         left = load_fixture("fig5_left").graph()

@@ -413,6 +413,21 @@ class TestSwitch:
         with pytest.raises(VerificationFailed, match="U M U"):
             switch(g, SeidelPartition(cells=(tuple(range(4)),)), verify=True)
 
+    def test_verify_names_the_worst_entry(self, monkeypatch):
+        # the location is in graph vertex order, not partition order
+        conjugated = switching._Partitioned.conjugated
+
+        def corrupted(self):
+            out = conjugated(self)
+            out[0, 1] += 0.5
+            out[3, 2] += 1.0
+            return out
+
+        monkeypatch.setattr(switching._Partitioned, "conjugated", corrupted)
+        part = SeidelPartition(cells=((2, 3), (0, 1)))
+        with pytest.raises(VerificationFailed, match=r"by 1\.000e\+00 at \(3, 2\)$"):
+            switch(complete_graph(4), part, verify=True)
+
     def test_cross_blocks_need_no_constant_row_sums(self, rng):
         # the general cross-block formula conjugates any block exactly
         for _ in range(20):
