@@ -33,7 +33,7 @@ class DensityMatrix:
         m = np.array(_square(self.matrix))
         m.flags.writeable = False
         object.__setattr__(self, "matrix", m)
-        if np.max(np.abs(m - m.T)) > EXACT_TOL:
+        if np.max(np.abs(m - m.T), initial=0.0) > EXACT_TOL:
             raise NotSymmetric(f"density matrix must be symmetric within {EXACT_TOL:g}")
         trace = float(np.trace(m))
         if abs(trace - 1.0) > EXACT_TOL:

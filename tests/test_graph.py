@@ -1,6 +1,8 @@
 """Graph model, derived matrices, spectra and isomorphism search."""
 
+import os
 import re
+import threading
 import tokenize
 from pathlib import Path
 
@@ -10,6 +12,7 @@ from conftest import char_poly_exact, random_seidel_instance, random_starlike_in
 
 import seidelkit
 from seidelkit import (
+    SeidelPartition,
     WeightedDigraph,
     adjacency_matrix,
     brute_force_isomorphic,
@@ -21,7 +24,9 @@ from seidelkit import (
     spectral_gap,
     spectrum,
     switch,
+    switching_matrix,
 )
+from seidelkit import graph
 from seidelkit.errors import (
     AsymmetricWeights,
     InvalidGraph,
@@ -258,6 +263,74 @@ class TestCospectral:
         a = np.eye(4) + np.eye(4, k=1)
         u = seidel_matrix(4)
         assert cospectral(a, u @ a @ u)
+
+
+def _cpus(monkeypatch, cpus=2):
+    """Let the process see `cpus` CPUs, whatever the host has."""
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)), raising=False)
+
+
+@pytest.fixture
+def thread_starts(monkeypatch):
+    """The threads started during the test."""
+    starts = []
+
+    class Counted(threading.Thread):
+        def start(self):
+            starts.append(self)
+            super().start()
+
+    monkeypatch.setattr(threading, "Thread", Counted)
+    return starts
+
+
+def _symmetric_pair(n, seed):
+    m = np.random.default_rng(seed).integers(-3, 4, size=(n, n)).astype(float)
+    m = m + m.T
+    return m, m[::-1, ::-1]  # relabelled by the reversal permutation
+
+
+class TestConcurrentSpectra:
+    # above order 500, with a second CPU, the two spectra of a pair are
+    # solved on two threads; every result must equal the serial one exactly
+
+    def test_switched_pairs_match_a_serial_reference(self, monkeypatch, thread_starts):
+        _cpus(monkeypatch)
+        n = 520
+        a = np.random.default_rng(11).integers(-3, 4, size=(n, n)).astype(float)
+        part = SeidelPartition(tuple(tuple(range(16 * i, 16 * i + 16)) for i in range(32)),
+                               tuple(range(512, n)))
+        u = switching_matrix(part, n)
+        for x, y, solve in ((a, u @ a @ u, lambda m: np.sort_complex(np.linalg.eigvals(m))),
+                            (a + a.T, u @ (a + a.T) @ u, np.linalg.eigvalsh)):
+            sx, sy = graph._spectra(x, y)
+            rx, ry = solve(x), solve(y)
+            assert np.array_equal(sx, rx) and np.array_equal(sy, ry)
+            assert spectral_gap(x, y) == graph._gap(rx, ry, 1e-9)
+        assert len(thread_starts) == 4
+
+    @pytest.mark.parametrize("n, cpus, threads", [(501, 2, 1), (500, 2, 0), (600, 1, 0)])
+    def test_one_thread_above_order_500_with_two_cpus(self, monkeypatch, thread_starts,
+                                                      n, cpus, threads):
+        _cpus(monkeypatch, cpus)
+        assert cospectral(*_symmetric_pair(n, 12))
+        assert len(thread_starts) == threads
+
+    @pytest.mark.parametrize("bad", [0, 1])
+    def test_a_failed_solve_raises_in_the_caller_after_the_join(self, monkeypatch, bad):
+        _cpus(monkeypatch)
+        m = np.random.default_rng(13).normal(size=(600, 600))
+        pair = [m, m.T.copy()]
+        pair[bad][5, 7] = np.nan
+        running = threading.active_count()
+        with pytest.raises(np.linalg.LinAlgError):
+            cospectral(*pair)
+        assert threading.active_count() == running
+
+    def test_two_solves_per_pair(self, monkeypatch, eigensolves):
+        _cpus(monkeypatch)
+        assert cospectral(*_symmetric_pair(600, 14))
+        assert len(eigensolves) == 2
 
 
 class TestLaplacianPSD:

@@ -78,6 +78,10 @@ class TestDensityMatrixValidation:
         with pytest.raises(ZeroTrace):
             DensityMatrix(np.eye(2))
 
+    def test_empty_matrix_has_zero_trace(self):
+        with pytest.raises(ZeroTrace):
+            DensityMatrix(np.zeros((0, 0)))
+
     def test_asymmetric_rejected(self):
         m = np.array([[0.5, 0.2], [0.0, 0.5]])
         with pytest.raises(NotSymmetric):
