@@ -40,10 +40,11 @@ from .errors import (
 EXACT_TOL = 1e-12
 NUMERIC_TOL = 1e-9
 ISO_SEARCH_LIMIT = 12
-# Above this order the two spectra of a pair are solved on two threads.
-# numpy 2.4's linalg gufuncs hold the GIL below order 500; two concurrent
-# solves against two serial ones (2-CPU host, one BLAS thread) ran at
-# 0.88-1.08x for orders 64-384 and 1.31-2.08x for orders 512-1152.
+# Above this order the two spectra of a pair may be solved on two threads
+# (see _concurrent). Two concurrent eigvals solves against two serial ones,
+# 2-CPU host, numpy 2.4.6, one BLAS thread: 0.88-1.15x at orders 64-480
+# (64-384, then 416, 448 and 480), 1.31-2.08x at orders 512-1152.
+# The cut sits between the measured 480 and 512.
 _CONCURRENT_ORDER = 500
 
 
@@ -245,11 +246,41 @@ def _usable_cpus() -> int:
     return os.cpu_count() or 1
 
 
+def _blas_threads() -> int | None:
+    """The BLAS thread count the environment pins, or None if it pins none.
+
+    OpenBLAS takes the first positive count of OPENBLAS_NUM_THREADS,
+    GOTO_NUM_THREADS and OMP_NUM_THREADS; MKL that of MKL_NUM_THREADS and
+    OMP_NUM_THREADS. The count is known only when both are pinned, and is the
+    larger. BLAS reads these variables when it loads, with numpy."""
+    def first(*names):
+        for name in names:
+            value = os.environ.get(name, "").strip()
+            if value.isdecimal() and int(value) > 0:
+                return int(value)
+        return None
+
+    counts = (first("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS"),
+              first("MKL_NUM_THREADS", "OMP_NUM_THREADS"))
+    return None if None in counts else max(counts)
+
+
+def _concurrent(order: int) -> bool:
+    """Whether a pair of this order is solved on two threads: above
+    _CONCURRENT_ORDER, when BLAS is pinned to t threads and the process may
+    run on at least 2t CPUs. Two solves on an unpinned BLAS compete for the
+    same cores and run slower than one after the other."""
+    if order <= _CONCURRENT_ORDER:
+        return False
+    threads = _blas_threads()
+    return threads is not None and _usable_cpus() >= 2 * threads
+
+
 def _solve_both(solve, a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """solve(a) and solve(b); above _CONCURRENT_ORDER, with a second CPU, b is
-    solved on a worker thread while the caller solves a. The worker is joined
-    even when the caller's solve raises, and its exception is re-raised here."""
-    if len(a) <= _CONCURRENT_ORDER or _usable_cpus() < 2:
+    """solve(a) and solve(b); when `_concurrent(len(a))`, b is solved on a
+    worker thread while the caller solves a. The worker is joined even when
+    the caller's solve raises, and its exception is re-raised here."""
+    if not _concurrent(len(a)):
         return solve(a), solve(b)
     out: list = [None]
 
@@ -306,9 +337,10 @@ def spectral_gap(a: np.ndarray, b: np.ndarray, tol: float = NUMERIC_TOL) -> floa
     distance between their means over a cluster: a cluster mean is well
     conditioned even where its members are not.
 
-    Above order 500, when the process may run on a second CPU, the two
-    spectra are solved concurrently, each by its own LAPACK call on the same
-    input; the results are identical either way.
+    Above order 500, when the environment pins BLAS to t threads and the
+    process may run on at least 2t CPUs, the two spectra are solved
+    concurrently, each by its own LAPACK call on the same input; otherwise
+    one after the other. The results are identical either way.
     """
     return _gap(*_spectra(a, b), tol)
 
@@ -319,8 +351,8 @@ def cospectral(a: np.ndarray, b: np.ndarray, tol: float = NUMERIC_TOL) -> bool:
 
     See `spectral_gap` for the comparison. Unitary conjugates of asymmetric
     adjacency matrices, defective ones included, are covered by the general
-    path. Above order 500, with a second CPU, the two spectra are solved
-    concurrently; the verdict is identical either way.
+    path. Large pairs may have their two spectra solved concurrently (see
+    `spectral_gap`); the verdict is identical either way.
     """
     a, b = _square(a), _square(b)
     # the extremes of a and b bound max |entry| without a temporary matrix

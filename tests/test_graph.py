@@ -265,9 +265,17 @@ class TestCospectral:
         assert cospectral(a, u @ a @ u)
 
 
-def _cpus(monkeypatch, cpus=2):
-    """Let the process see `cpus` CPUs, whatever the host has."""
+_PINNED = {"OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "1", "MKL_NUM_THREADS": "1"}
+
+
+def _host(monkeypatch, cpus=2, blas=_PINNED):
+    """Let the process see `cpus` CPUs and exactly the BLAS thread variables
+    `blas`, whatever the host has."""
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)), raising=False)
+    for name in ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+        monkeypatch.delenv(name, raising=False)
+    for name, value in blas.items():
+        monkeypatch.setenv(name, value)
 
 
 @pytest.fixture
@@ -291,11 +299,12 @@ def _symmetric_pair(n, seed):
 
 
 class TestConcurrentSpectra:
-    # above order 500, with a second CPU, the two spectra of a pair are
-    # solved on two threads; every result must equal the serial one exactly
+    # above order 500, with BLAS pinned to t threads and 2t CPUs, the two
+    # spectra of a pair are solved on two threads; every result must equal
+    # the serial one exactly
 
     def test_switched_pairs_match_a_serial_reference(self, monkeypatch, thread_starts):
-        _cpus(monkeypatch)
+        _host(monkeypatch)
         n = 520
         a = np.random.default_rng(11).integers(-3, 4, size=(n, n)).astype(float)
         part = SeidelPartition(tuple(tuple(range(16 * i, 16 * i + 16)) for i in range(32)),
@@ -312,13 +321,30 @@ class TestConcurrentSpectra:
     @pytest.mark.parametrize("n, cpus, threads", [(501, 2, 1), (500, 2, 0), (600, 1, 0)])
     def test_one_thread_above_order_500_with_two_cpus(self, monkeypatch, thread_starts,
                                                       n, cpus, threads):
-        _cpus(monkeypatch, cpus)
+        _host(monkeypatch, cpus)
         assert cospectral(*_symmetric_pair(n, 12))
+        assert len(thread_starts) == threads
+
+    @pytest.mark.parametrize("blas, cpus, threads", [
+        ({}, 2, 0),  # BLAS threads unknown: solved serially
+        ({}, 64, 0),
+        ({"OMP_NUM_THREADS": "1"}, 2, 1),  # read by OpenBLAS and MKL
+        ({"OPENBLAS_NUM_THREADS": "1"}, 2, 0),  # MKL unpinned
+        ({"OPENBLAS_NUM_THREADS": "1", "MKL_NUM_THREADS": "1"}, 2, 1),
+        ({"OPENBLAS_NUM_THREADS": "2", "OMP_NUM_THREADS": "1"}, 2, 0),  # OpenBLAS runs 2
+        ({"OPENBLAS_NUM_THREADS": "2", "OMP_NUM_THREADS": "1"}, 4, 1),
+        ({"GOTO_NUM_THREADS": "2", "OMP_NUM_THREADS": "1"}, 3, 0),
+        ({"OMP_NUM_THREADS": "0"}, 2, 0),  # not a count
+    ])
+    def test_threads_only_when_blas_is_pinned_to_half_the_cpus(self, monkeypatch, thread_starts,
+                                                              blas, cpus, threads):
+        _host(monkeypatch, cpus, blas)
+        assert cospectral(*_symmetric_pair(501, 15))
         assert len(thread_starts) == threads
 
     @pytest.mark.parametrize("bad", [0, 1])
     def test_a_failed_solve_raises_in_the_caller_after_the_join(self, monkeypatch, bad):
-        _cpus(monkeypatch)
+        _host(monkeypatch)
         m = np.random.default_rng(13).normal(size=(600, 600))
         pair = [m, m.T.copy()]
         pair[bad][5, 7] = np.nan
@@ -328,7 +354,7 @@ class TestConcurrentSpectra:
         assert threading.active_count() == running
 
     def test_two_solves_per_pair(self, monkeypatch, eigensolves):
-        _cpus(monkeypatch)
+        _host(monkeypatch)
         assert cospectral(*_symmetric_pair(600, 14))
         assert len(eigensolves) == 2
 
