@@ -90,9 +90,18 @@ class WeightedDigraph:
     `edges` maps ordered pairs (u, v) to weights. A stored weight is never
     zero (no edge and weight zero are the same thing), loop weights are
     strictly positive, and every weight is finite.
+
+    Since the graph never changes, it remembers what its checks found: whether
+    its weights are symmetric, and per partition the result of a
+    `validate_seidel` or `validate_starlike` that passed. A check runs once
+    per graph, so validate-then-switch checks once; a check that fails is
+    not remembered and fails the same way again. A copy or pickle starts
+    with nothing remembered.
     """
 
-    __slots__ = ("order", "_adjacency", "_edges")
+    # _facts: results of passed checks, keyed by "symmetric" and by
+    # ("seidel" or "starlike", partition); never an n x n array
+    __slots__ = ("order", "_adjacency", "_edges", "_facts")
 
     def __init__(self, order: int, edges: Mapping[tuple[int, int], float] | None = None):
         edges = edges or {}
@@ -107,7 +116,8 @@ class WeightedDigraph:
                 f"loop at {v} must have positive weight, got {a[v, v]}")),
         )
         a.flags.writeable = False
-        for name, value in (("order", len(a)), ("_adjacency", a), ("_edges", None)):
+        for name, value in (("order", len(a)), ("_adjacency", a), ("_edges", None),
+                            ("_facts", {})):
             object.__setattr__(self, name, value)
 
     def __setattr__(self, name, value):
@@ -161,8 +171,11 @@ class WeightedDigraph:
         return self.weight(v, v)
 
     def is_symmetric(self) -> bool:
-        """True when w(u, v) == w(v, u) for every ordered pair."""
-        return bool(np.array_equal(self._adjacency, self._adjacency.T))
+        """True when w(u, v) == w(v, u) for every ordered pair; the graph
+        scans its weights once and remembers the answer."""
+        if "symmetric" not in self._facts:
+            self._facts["symmetric"] = bool(np.array_equal(self._adjacency, self._adjacency.T))
+        return self._facts["symmetric"]
 
     def __eq__(self, other):
         if not isinstance(other, WeightedDigraph):
@@ -187,10 +200,9 @@ def degree_matrix(g: WeightedDigraph) -> np.ndarray:
 
 
 def _require_symmetric_weights(g: WeightedDigraph) -> None:
-    a = g._adjacency
-    rows, cols = np.nonzero(a != a.T)
-    if rows.size:
-        u, v = rows[0], cols[0]
+    if not g.is_symmetric():
+        a = g._adjacency
+        u, v = np.argwhere(a != a.T)[0]
         raise AsymmetricWeights(f"w({u}, {v}) = {a[u, v]} but w({v}, {u}) = {a[v, u]}")
 
 

@@ -56,16 +56,18 @@ def _raise_first_bad_entry(items, order: int, source: str) -> None:
         if not isinstance(item, list) or len(item) != 3:
             raise ParseError(f"{source}: edge entries must be [u, v, weight], got {item!r}")
         u, v, w = item
-        if not isinstance(u, int) or not isinstance(v, int):
+        if type(u) is not int or type(v) is not int:  # a bool is no endpoint
             raise ParseError(f"{source}: edge endpoints must be integers, got {item!r}")
         if not 0 <= u < order or not 0 <= v < order:
             raise ParseError(f"{source}: edge ({u}, {v}) outside 0..{order - 1}")
         if (u, v) in seen:
             raise ParallelEdges(f"{source}: duplicate ordered pair ({u}, {v})")
         seen.add((u, v))
+        if type(w) not in (int, float):
+            raise ParseError(f"{source}: edge ({u}, {v}) weight {w!r} is not a number")
         try:
             w = float(w)
-        except (TypeError, ValueError, OverflowError):
+        except OverflowError:
             raise ParseError(f"{source}: edge ({u}, {v}) weight {w!r} is not a number") from None
         if w == 0.0:
             raise ParseError(f"{source}: edge ({u}, {v}) has zero weight")
@@ -88,7 +90,8 @@ def _read_graph(items, order: int, source: str) -> WeightedDigraph:
             set(map(type, items)) <= {list}
             and set(map(len, items)) <= {3}
             and set(map(type, map(itemgetter(0), items)))
-            | set(map(type, map(itemgetter(1), items))) <= {int, bool}
+            | set(map(type, map(itemgetter(1), items))) <= {int}
+            and set(map(type, map(itemgetter(2), items))) <= {int, float}
         ):
             table = np.fromiter(chain.from_iterable(items), dtype=float, count=3 * len(items))
             return WeightedDigraph.from_edges(order, table.reshape(-1, 3))
@@ -106,19 +109,21 @@ def _parse_document(raw: dict, source: str) -> GraphDocument:
         edge_items = raw["edges"]
     except KeyError as missing:
         raise ParseError(f"{source}: missing required field {missing}") from None
-    if not isinstance(order, int) or order < 1:
+    if type(order) is not int or order < 1:
         raise ParseError(f"{source}: order must be a positive integer")
     g = _read_graph(edge_items, order, source)
     partition = None
     if raw.get("partition") is not None:
         p = raw["partition"]
         try:
-            partition = SeidelPartition(
-                cells=tuple(tuple(c) for c in p["cells"]),
-                d_cell=tuple(p.get("d", ())),
-            )
+            cells, d = tuple(tuple(c) for c in p["cells"]), tuple(p.get("d", ()))
         except (KeyError, TypeError) as exc:
             raise ParseError(f"{source}: malformed partition: {exc}") from None
+        for entry in (*cells, d):
+            if any(type(v) is not int for v in entry):
+                raise ParseError(
+                    f"{source}: partition vertices must be integers, got {list(entry)!r}")
+        partition = SeidelPartition(cells, d)
     metadata = raw.get("metadata") or {}
     if not isinstance(metadata, dict):
         raise ParseError(f"{source}: metadata must be an object")

@@ -34,7 +34,7 @@ from .graph import (
     NUMERIC_TOL, WeightedDigraph, _require_symmetric_weights, _within, adjacency_matrix, laplacian,
     signless_laplacian,
 )
-from .switching import SeidelPartition, _checked, _in_partition_order, _Partitioned, _verify_switch
+from .switching import SeidelPartition, _in_partition_order, _Partitioned, _seidel, _verify_switch
 from .switching import validate_seidel  # noqa: F401  kept importable from this module
 
 
@@ -73,14 +73,21 @@ def validate_starlike(g: WeightedDigraph, part: SeidelPartition) -> list[Starlik
     weight per direction across each cell; the category-2 vertices of each
     cell come in an even number, split evenly between one half of the cell
     and its complement, again with one weight per direction.
+
+    The graph remembers a check that passed: a later call for an equal
+    partition, or an `lq_switch` or `switch`, does not check again. Each
+    call returns a new list.
     """
-    return _starlike(g, part)[1]
+    profiles = g._facts.get(("starlike", part))
+    if profiles is None:
+        profiles = _starlike(g, part)[1]
+    return list(profiles)
 
 
-def _starlike(g: WeightedDigraph, part: SeidelPartition) -> tuple[_Partitioned, list]:
+def _starlike(g: WeightedDigraph, part: SeidelPartition) -> tuple[_Partitioned, tuple]:
     """Run the checks of `validate_starlike`; return the adjacency matrix in
-    partition order and the cell profiles."""
-    blocks, table = _checked(g, part)
+    partition order and the cell profiles, which g records."""
+    blocks, table = _seidel(g, part)
     k, m, sizes = len(part.cells), blocks.m, blocks.sizes
     cell_of = np.repeat(np.arange(k), sizes)  # cell of each cell vertex, in partition order
     cross = (blocks.p[:m, :m] != 0) & (cell_of[:, None] != cell_of)
@@ -137,10 +144,11 @@ def _starlike(g: WeightedDigraph, part: SeidelPartition) -> tuple[_Partitioned, 
         (faults[2], nonuniform(NonuniformCategory2Weights, 2, 0)),
         (faults[3], nonuniform(NonuniformCategory2Weights, 2, 1)),
     )
-    return blocks, [
+    profiles = g._facts["starlike", part] = tuple(
         StarlikeCellProfile(i, *(float(w) for w in weights[:, i]), int(p[i]), int(q[i]), int(r[i]))
         for i in range(k)
-    ]
+    )
+    return blocks, profiles
 
 
 def lift_graph(g: WeightedDigraph, kind: SpectralKind) -> WeightedDigraph:
@@ -200,8 +208,13 @@ def lq_switch(
     that a certificate checks. force=True skips the (merely sufficient)
     starlike validation and certifies M(G') = U M U, as verify=True does; a
     forced switch that is not L/Q-cospectral raises VerificationFailed.
+    Without force, the starlike validation runs unless `validate_starlike`
+    already passed on g and an equal partition.
     """
-    blocks = _in_partition_order(g, part) if force else _starlike(g, part)[0]
+    if force or ("starlike", part) in g._facts:
+        blocks = _in_partition_order(g, part)
+    else:
+        blocks = _starlike(g, part)[0]
     _require_symmetric_weights(g)
     result = WeightedDigraph.from_adjacency(blocks.conjugated())
     if force or verify:

@@ -13,7 +13,8 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from seidelkit import SeidelPartition, WeightedDigraph
+from seidelkit import SeidelPartition, WeightedDigraph, adjacency_matrix
+from seidelkit.errors import SeidelKitError
 
 CELL_SIZES = (2, 4, 8)
 
@@ -223,6 +224,42 @@ def eigensolves(monkeypatch):
         monkeypatch.setattr(np.linalg, solver,
                             lambda m, *args, f=original, **kw: calls.append(m) or f(m, *args, **kw))
     return calls
+
+
+@pytest.fixture
+def seidel_checks(monkeypatch):
+    """The partitions `switching._checked` ran the Seidel checks on during the test."""
+    from seidelkit import switching
+
+    calls = []
+    monkeypatch.setattr(switching, "_checked",
+                        lambda g, part, f=switching._checked: calls.append(part) or f(g, part))
+    return calls
+
+
+def outcome(f, *args, **kwargs):
+    """The bytes of the adjacency matrix of the graph f returns, or the type
+    and message of the domain error it raises."""
+    try:
+        return adjacency_matrix(f(*args, **kwargs)).tobytes()
+    except SeidelKitError as e:
+        return type(e), str(e)
+
+
+def fresh(g: WeightedDigraph) -> WeightedDigraph:
+    """An equal graph that has recorded no check."""
+    return WeightedDigraph.from_adjacency(adjacency_matrix(g))
+
+
+def mutated(rng, g: WeightedDigraph) -> WeightedDigraph:
+    """g with one random entry set to a small integer weight (0 deletes an
+    edge), mirrored when g is symmetric; many such graphs fail a check."""
+    a = np.array(adjacency_matrix(g))
+    u, v = rng.integers(0, g.order, 2)
+    a[u, v] = float(rng.integers(0, 4))
+    if g.is_symmetric():
+        a[v, u] = a[u, v]
+    return WeightedDigraph.from_adjacency(a)
 
 
 @pytest.fixture

@@ -1,6 +1,8 @@
 """Graph model, derived matrices, spectra and isomorphism search."""
 
+import copy
 import os
+import pickle
 import re
 import threading
 import tokenize
@@ -8,23 +10,31 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from conftest import char_poly_exact, random_seidel_instance, random_starlike_instance
+from conftest import char_poly_exact, fresh, random_seidel_instance, random_starlike_instance
 
 import seidelkit
 from seidelkit import (
     SeidelPartition,
+    SpectralKind,
     WeightedDigraph,
     adjacency_matrix,
     brute_force_isomorphic,
     cospectral,
     degree_matrix,
+    density_from_graph,
     laplacian,
+    load_fixture,
+    lq_switch,
     seidel_matrix,
     signless_laplacian,
     spectral_gap,
+    spectral_matrix,
     spectrum,
     switch,
     switching_matrix,
+    validate_seidel,
+    validate_starlike,
+    von_neumann_entropy,
 )
 from seidelkit import graph
 from seidelkit.errors import (
@@ -80,6 +90,16 @@ class TestConstruction:
         with pytest.raises(TypeError):
             K2.edges[(0, 1)] = 2.0
 
+    def test_copies_remember_no_check(self, seidel_checks):
+        doc = load_fixture("fig2")
+        g, part = doc.graph(), doc.partition
+        validate_seidel(g, part)
+        copies = (pickle.loads(pickle.dumps(g)), copy.copy(g), copy.deepcopy(g))
+        for h in copies:
+            assert h == g
+            switch(h, part)
+        assert len(seidel_checks) == 1 + len(copies)
+
     def test_edge_view_matches_adjacency(self, rng):
         for _ in range(10):
             g, _ = random_seidel_instance(rng)
@@ -131,6 +151,30 @@ class TestLaplacians:
             laplacian(g)
         with pytest.raises(AsymmetricWeights):
             signless_laplacian(g)
+
+    def test_an_lq_op_scans_each_graph_once(self, monkeypatch):
+        # validate_starlike, lq_switch, both spectral matrices and both
+        # densities need symmetric weights; g and its switch are scanned once
+        scanned = []
+        monkeypatch.setattr(np, "array_equal",
+                            lambda a, b, f=np.array_equal: scanned.append(a) or f(a, b))
+        doc = load_fixture("fig4_left")
+        for kind in SpectralKind:
+            g, part = fresh(doc.graph()), doc.partition
+            scanned.clear()
+            validate_starlike(g, part)
+            g2 = lq_switch(g, part, kind)
+            cospectral(spectral_matrix(g, kind), spectral_matrix(g2, kind))
+            for h in (g, g2):
+                von_neumann_entropy(density_from_graph(h, kind))
+            assert [id(a) for a in scanned] == [id(adjacency_matrix(g)), id(adjacency_matrix(g2))]
+
+    def test_asymmetry_is_reported_every_time(self):
+        g = WeightedDigraph.from_edges(2, [(0, 1, 1.0)])
+        assert not g.is_symmetric() and not g.is_symmetric()
+        for _ in range(2):
+            with pytest.raises(AsymmetricWeights, match=r"^w\(0, 1\) = 1\.0 but w\(1, 0\) = 0\.0$"):
+                laplacian(g)
 
     def test_one_way_edge_rejected(self):
         g = WeightedDigraph.from_edges(2, [(0, 1, 1.0)])

@@ -88,6 +88,28 @@ class TestDocuments:
         with pytest.raises(error, match=match):
             loads_document(f'{{"order": 2, "edges": {edges}}}')
 
+    @pytest.mark.parametrize(
+        "fields, match",
+        [
+            ('"order": 2, "edges": [[true, false, 1.0]]',
+             r"endpoints must be integers, got \[True, False, 1\.0\]"),
+            ('"order": 2, "edges": [[0, 1, true]]', r"edge \(0, 1\) weight True is not a number"),
+            ('"order": 2, "edges": [[0, 1, "1.5"]]', r"edge \(0, 1\) weight '1\.5' is not"),
+            ('"order": 2, "edges": [], "partition": {"cells": [[0, true]]}',
+             r"partition vertices must be integers, got \[0, True\]"),
+            ('"order": 3, "edges": [], "partition": {"cells": [[0, 1]], "d": [2.0]}',
+             r"partition vertices must be integers, got \[2\.0\]"),
+            ('"order": true, "edges": []', "order must be a positive integer"),
+        ],
+    )
+    def test_a_number_is_never_a_bool_or_a_string(self, fields, match, tmp_path, capsys):
+        with pytest.raises(ParseError, match=match):
+            loads_document(f"{{{fields}}}")
+        path = tmp_path / "bad.graph"
+        path.write_text(f"{{{fields}}}")
+        assert main(["switch", str(path)]) == 2
+        assert capsys.readouterr().err.startswith(f"error: {path}: ")
+
     def test_negative_loop_is_an_invalid_graph(self):
         with pytest.raises(InvalidGraph, match="loop"):
             loads_document('{"order": 2, "edges": [[0, 1, 1.0], [1, 1, -1.0]]}')

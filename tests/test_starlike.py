@@ -2,7 +2,14 @@
 
 import numpy as np
 import pytest
-from conftest import MIRRORED_PART, mirrored_cross_block_instance, random_starlike_instance
+from conftest import (
+    MIRRORED_PART,
+    fresh,
+    mirrored_cross_block_instance,
+    mutated,
+    outcome,
+    random_starlike_instance,
+)
 
 from seidelkit import (
     SeidelPartition,
@@ -20,6 +27,7 @@ from seidelkit import (
     starlike,
     switch,
     switching_matrix,
+    validate_seidel,
     validate_starlike,
 )
 from seidelkit.errors import (
@@ -32,6 +40,7 @@ from seidelkit.errors import (
     NotRealizable,
     OddCategory2Count,
     OrderMismatch,
+    SeidelKitError,
     UnequalWeights,
     VerificationFailed,
 )
@@ -385,3 +394,89 @@ class TestLoopWeightsPreserved:
     def test_order_mismatch(self):
         with pytest.raises(OrderMismatch):
             loop_weights_preserved(K2, WeightedDigraph(3))
+
+
+class TestRecordedChecks:
+    """A graph remembers a starlike validation that passed, per partition."""
+
+    def test_validate_then_lq_switch_checks_once(self, seidel_checks):
+        doc = load_fixture("fig4_left")
+        g, part = doc.graph(), doc.partition
+        validate_starlike(g, part)
+        for kind in KINDS:
+            lq_switch(g, part, kind)
+        assert len(seidel_checks) == 1
+
+    def test_a_passed_starlike_check_is_a_passed_seidel_check(self, seidel_checks):
+        doc = load_fixture("fig4_left")
+        g, part = doc.graph(), doc.partition
+        validate_starlike(g, part)
+        validate_seidel(g, part)
+        switch(g, part)
+        assert len(seidel_checks) == 1
+
+    def test_an_equal_partition_is_remembered(self, seidel_checks):
+        doc = load_fixture("fig4_left")
+        g, part = doc.graph(), doc.partition
+        same = SeidelPartition(tuple(c[::-1] for c in part.cells), part.d_cell[::-1])
+        assert same == part and same is not part
+        validate_starlike(g, part)
+        assert validate_starlike(g, same) == validate_starlike(fresh(g), part)
+        lq_switch(g, same, SpectralKind.LAPLACIAN)
+        assert len(seidel_checks) == 2  # g once, its fresh copy once
+
+    def test_a_failed_check_fails_again(self, seidel_checks):
+        doc = load_fixture("fig5_left")
+        g, part = doc.graph(), doc.partition
+        messages = set()
+        for _ in range(2):
+            with pytest.raises(CrossCellEdge) as e:
+                validate_starlike(g, part)
+            messages.add(str(e.value))
+        with pytest.raises(CrossCellEdge) as e:
+            lq_switch(g, part, SpectralKind.LAPLACIAN)
+        messages.add(str(e.value))
+        assert len(messages) == 1 and len(seidel_checks) == 3
+
+    def test_profiles_are_fresh(self):
+        doc = load_fixture("fig4_left")
+        g, part = doc.graph(), doc.partition
+        first = validate_starlike(g, part)
+        expected = list(first)
+        first.clear()
+        assert validate_starlike(g, part) == expected
+
+    def test_force_switches_as_before(self, seidel_checks):
+        left = load_fixture("fig5_left")
+        g, part = left.graph(), left.partition
+        expected = load_fixture("fig5_right").graph()
+        assert lq_switch(g, part, SpectralKind.LAPLACIAN, force=True) == expected
+        with pytest.raises(CrossCellEdge):
+            lq_switch(g, part, SpectralKind.LAPLACIAN)
+        doc = load_fixture("fig4_left")
+        h, part = doc.graph(), doc.partition
+        validate_starlike(h, part)
+        for kind in KINDS:
+            assert lq_switch(h, part, kind, force=True) == lq_switch(fresh(h), part, kind)
+        assert len(seidel_checks) == 4
+
+    def test_a_recorded_check_changes_no_outcome(self):
+        # every outcome of lq_switch, graph or error, is the same whether or
+        # not validate_starlike ran first; about 40% of the draws fail a check
+        rng, mutations = np.random.default_rng(4), np.random.default_rng(5)
+        recorded = failed = 0
+        for _ in range(150):
+            g, part = random_starlike_instance(rng)
+            if mutations.random() < 0.5:
+                g = mutated(mutations, g)
+            for kind in KINDS:
+                for verify in (False, True):
+                    cold = outcome(lq_switch, fresh(g), part, kind, verify=verify)
+                    h = fresh(g)
+                    try:
+                        validate_starlike(h, part)
+                        recorded += 1
+                    except SeidelKitError:
+                        failed += 1
+                    assert outcome(lq_switch, h, part, kind, verify=verify) == cold
+        assert recorded > 100 and failed > 100
