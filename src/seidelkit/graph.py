@@ -92,15 +92,15 @@ class WeightedDigraph:
     strictly positive, and every weight is finite.
 
     Since the graph never changes, it remembers what its checks found: whether
-    its weights are symmetric, and per partition the result of a
-    `validate_seidel` or `validate_starlike` that passed. A check runs once
-    per graph, so validate-then-switch checks once; a check that fails is
-    not remembered and fails the same way again. A copy or pickle starts
-    with nothing remembered.
+    its weights are symmetric, and per partition the cell profiles of a
+    `validate_starlike` that passed. A check runs once per graph, so
+    validate-then-`lq_switch` checks once; a check that fails is not
+    remembered and fails the same way again. A copy or pickle starts with
+    nothing remembered.
     """
 
     # _facts: results of passed checks, keyed by "symmetric" and by
-    # ("seidel" or "starlike", partition); never an n x n array
+    # ("starlike", partition); never an n x n array
     __slots__ = ("order", "_adjacency", "_edges", "_facts")
 
     def __init__(self, order: int, edges: Mapping[tuple[int, int], float] | None = None):

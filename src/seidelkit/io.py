@@ -63,11 +63,11 @@ def _raise_first_bad_entry(items, order: int, source: str) -> None:
         if (u, v) in seen:
             raise ParallelEdges(f"{source}: duplicate ordered pair ({u}, {v})")
         seen.add((u, v))
-        if type(w) not in (int, float):
-            raise ParseError(f"{source}: edge ({u}, {v}) weight {w!r} is not a number")
         try:
+            if type(w) is bool:
+                raise TypeError
             w = float(w)
-        except OverflowError:
+        except (TypeError, ValueError, OverflowError):
             raise ParseError(f"{source}: edge ({u}, {v}) weight {w!r} is not a number") from None
         if w == 0.0:
             raise ParseError(f"{source}: edge ({u}, {v}) has zero weight")
@@ -91,7 +91,7 @@ def _read_graph(items, order: int, source: str) -> WeightedDigraph:
             and set(map(len, items)) <= {3}
             and set(map(type, map(itemgetter(0), items)))
             | set(map(type, map(itemgetter(1), items))) <= {int}
-            and set(map(type, map(itemgetter(2), items))) <= {int, float}
+            and bool not in set(map(type, map(itemgetter(2), items)))
         ):
             table = np.fromiter(chain.from_iterable(items), dtype=float, count=3 * len(items))
             return WeightedDigraph.from_edges(order, table.reshape(-1, 3))

@@ -34,7 +34,7 @@ from .graph import (
     NUMERIC_TOL, WeightedDigraph, _require_symmetric_weights, _within, adjacency_matrix, laplacian,
     signless_laplacian,
 )
-from .switching import SeidelPartition, _in_partition_order, _Partitioned, _seidel, _verify_switch
+from .switching import SeidelPartition, _checked, _in_partition_order, _Partitioned, _verify_switch
 from .switching import validate_seidel  # noqa: F401  kept importable from this module
 
 
@@ -75,8 +75,8 @@ def validate_starlike(g: WeightedDigraph, part: SeidelPartition) -> list[Starlik
     and its complement, again with one weight per direction.
 
     The graph remembers a check that passed: a later call for an equal
-    partition, or an `lq_switch` or `switch`, does not check again. Each
-    call returns a new list.
+    partition, or an `lq_switch`, does not check again. Each call returns a
+    new list.
     """
     profiles = g._facts.get(("starlike", part))
     if profiles is None:
@@ -87,7 +87,7 @@ def validate_starlike(g: WeightedDigraph, part: SeidelPartition) -> list[Starlik
 def _starlike(g: WeightedDigraph, part: SeidelPartition) -> tuple[_Partitioned, tuple]:
     """Run the checks of `validate_starlike`; return the adjacency matrix in
     partition order and the cell profiles, which g records."""
-    blocks, table = _seidel(g, part)
+    blocks, table = _checked(g, part)
     k, m, sizes = len(part.cells), blocks.m, blocks.sizes
     cell_of = np.repeat(np.arange(k), sizes)  # cell of each cell vertex, in partition order
     cross = (blocks.p[:m, :m] != 0) & (cell_of[:, None] != cell_of)

@@ -29,9 +29,7 @@ hub table, built once per call by `_checked` from the hub weights
 w[direction, cell vertex, hub] (direction 0 outgoing, 1 incoming): per
 direction, cell and hub the count, min and max of the nonzero weights; per
 cell and hub the count of attached cell vertices and the category (1 for
-all, 2 for half, 3 for none, 0 for any other count). A graph records the
-categories of a check that passed, so validate-then-switch builds the table
-once.
+all, 2 for half, 3 for none, 0 for any other count).
 """
 
 from __future__ import annotations
@@ -319,13 +317,6 @@ def _checked(g: WeightedDigraph, part: SeidelPartition) -> tuple[_Partitioned, S
     return blocks, table
 
 
-def _seidel(g: WeightedDigraph, part: SeidelPartition) -> tuple[_Partitioned, SimpleNamespace]:
-    """`_checked`, whose categories g records once the checks pass."""
-    blocks, table = _checked(g, part)
-    g._facts["seidel", part] = table.category
-    return blocks, table
-
-
 def validate_seidel(g: WeightedDigraph, part: SeidelPartition) -> CategoryReport:
     """Check the four switching-graph conditions and classify hub vertices.
 
@@ -335,14 +326,8 @@ def validate_seidel(g: WeightedDigraph, part: SeidelPartition) -> CategoryReport
     of every cell, with equal weights per direction in the half-attached
     case, (d) parallel edges only occur as oppositely oriented pairs, which
     the graph model guarantees.
-
-    The graph remembers a check that passed, as does a passed
-    `validate_starlike`: a later call for an equal partition, or a `switch`,
-    does not check again. Each call returns a new report.
     """
-    d, category = part.d_cell, g._facts.get(("seidel", part))
-    if category is None:
-        category = _seidel(g, part)[1].category
+    d, category = part.d_cell, _checked(g, part)[1].category
     categories = {(i, v): c for i, row in enumerate(category.tolist()) for v, c in zip(d, row)}
     counts = zip(*(np.count_nonzero(category == c, axis=1).tolist() for c in (1, 2, 3)))
     return CategoryReport(categories=categories, counts=tuple(counts))
@@ -364,18 +349,12 @@ def _verify_switch(m: np.ndarray, switched: np.ndarray, part: SeidelPartition) -
 def switch(g: WeightedDigraph, part: SeidelPartition, verify: bool = False) -> WeightedDigraph:
     """Switching transform G -> G^pi; the result is cospectral with G.
 
-    Validates the input first, unless `validate_seidel` or
-    `validate_starlike` already passed on g and an equal partition; cross
-    blocks between cells may be arbitrary. A symmetric input switches to an
-    exactly symmetric result. verify=True certifies the result against the
-    dense U A U under the tolerance rule of `graph`, which proves
-    cospectrality; meant for tests, not production runs.
+    Validates the input first; cross blocks between cells may be arbitrary.
+    A symmetric input switches to an exactly symmetric result. verify=True
+    certifies the result against the dense U A U under the tolerance rule of
+    `graph`, which proves cospectrality; meant for tests, not production runs.
     """
-    if ("seidel", part) in g._facts:
-        blocks = _in_partition_order(g, part)
-    else:
-        blocks = _seidel(g, part)[0]
-    result = WeightedDigraph.from_adjacency(blocks.conjugated())
+    result = WeightedDigraph.from_adjacency(_checked(g, part)[0].conjugated())
     if verify:
         _verify_switch(adjacency_matrix(g), adjacency_matrix(result), part)
     return result

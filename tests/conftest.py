@@ -228,12 +228,18 @@ def eigensolves(monkeypatch):
 
 @pytest.fixture
 def seidel_checks(monkeypatch):
-    """The partitions `switching._checked` ran the Seidel checks on during the test."""
-    from seidelkit import switching
+    """The partitions `switching._checked` ran the Seidel checks on during the
+    test, called from `switching` or from `starlike`."""
+    from seidelkit import starlike, switching
 
     calls = []
-    monkeypatch.setattr(switching, "_checked",
-                        lambda g, part, f=switching._checked: calls.append(part) or f(g, part))
+
+    def counted(g, part, f=switching._checked):
+        calls.append(part)
+        return f(g, part)
+
+    for module in (switching, starlike):
+        monkeypatch.setattr(module, "_checked", counted)
     return calls
 
 

@@ -5,11 +5,8 @@ import pytest
 from conftest import (
     MIRRORED_PART,
     char_poly_exact,
-    fresh,
     heavy_cycle_instance,
     mirrored_cross_block_instance,
-    mutated,
-    outcome,
     random_seidel_instance,
 )
 
@@ -36,7 +33,6 @@ from seidelkit.errors import (
     NonConstantRowSum,
     NotHalfAndHalf,
     NotRegularInduced,
-    SeidelKitError,
     UnequalWeights,
     VerificationFailed,
 )
@@ -463,52 +459,3 @@ class TestPartitionVertices:
         assert part == SeidelPartition(((0, 1),), (2,))
         assert hash(part) == hash(SeidelPartition(((0, 1),), (2,)))
 
-
-class TestRecordedChecks:
-    """A graph remembers a Seidel validation that passed, per partition."""
-
-    def test_validate_then_switch_checks_once(self, seidel_checks):
-        doc = load_fixture("fig2")
-        g, part = doc.graph(), doc.partition
-        report = validate_seidel(g, part)
-        switch(g, part, verify=True)
-        assert validate_seidel(g, SeidelPartition(part.cells, part.d_cell)) == report
-        assert len(seidel_checks) == 1
-
-    def test_a_failed_check_fails_again(self, seidel_checks):
-        g = WeightedDigraph.from_edges(4, [(3, 0, 1.0), (3, 1, 2.0)])
-        part = SeidelPartition(cells=((0, 1, 2),), d_cell=(3,))
-        messages = set()
-        for check in (validate_seidel, validate_seidel, switch):
-            with pytest.raises(BadAdjacencyCount) as e:
-                check(g, part)
-            messages.add(str(e.value))
-        assert len(messages) == 1 and len(seidel_checks) == 3
-
-    def test_reports_are_fresh(self):
-        doc = load_fixture("fig2")
-        g, part = doc.graph(), doc.partition
-        first = validate_seidel(g, part)
-        expected = dict(first.categories)
-        first.categories.clear()
-        assert validate_seidel(g, part).categories == expected
-
-    def test_a_recorded_check_changes_no_outcome(self):
-        # every outcome of switch, graph or error, is the same whether or
-        # not validate_seidel ran first; about a third of the draws fail a check
-        rng, mutations = np.random.default_rng(4), np.random.default_rng(5)
-        recorded = failed = 0
-        for _ in range(150):
-            g, part = random_seidel_instance(rng)
-            if mutations.random() < 0.5:
-                g = mutated(mutations, g)
-            for verify in (False, True):
-                cold = outcome(switch, fresh(g), part, verify=verify)
-                h = fresh(g)
-                try:
-                    validate_seidel(h, part)
-                    recorded += 1
-                except SeidelKitError:
-                    failed += 1
-                assert outcome(switch, h, part, verify=verify) == cold
-        assert recorded > 100 and failed > 50
