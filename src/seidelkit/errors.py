@@ -1,5 +1,7 @@
 """Exception types raised by the toolkit's domain operations."""
 
+import numpy as np
+
 
 class SeidelKitError(Exception):
     """Base class for every domain error in this package."""
@@ -122,11 +124,13 @@ def raise_first(*checks) -> None:
 
     Each check is a pair (mask, make_error): a boolean array over the same
     sequence of entries, and a function from an entry's position to the
-    exception. The earliest position that any mask flags wins; at one
-    position, the check listed first wins. This keeps the error a sequential
-    walk would raise while every check runs on whole arrays.
+    exception; the masks of one call have one shape, and a position counts
+    along the raveled mask. The earliest position that any mask flags wins;
+    at one position, the check listed first wins. This keeps the error a
+    sequential walk would raise while every check runs on whole arrays.
     """
-    hits = [(int(mask.argmax()), k) for k, (mask, _) in enumerate(checks) if mask.any()]
-    if hits:
-        position, k = min(hits)
-        raise checks[k][1](position)
+    masks = np.array([mask for mask, _ in checks])
+    if np.logical_or.reduce(masks, axis=None):
+        masks = masks.reshape(len(checks), -1)
+        position = int(masks.any(axis=0).argmax())
+        raise checks[int(masks[:, position].argmax())][1](position)

@@ -55,6 +55,13 @@ def _within(x, tol: float, scale) -> np.ndarray:
 
 
 def _symmetric(m: np.ndarray) -> bool:
+    """m == m.T under the tolerance rule with EXACT_TOL.
+
+    An exactly symmetric finite matrix passes on one comparison; the rule
+    runs only when that fails. A finite sum proves every entry finite, and
+    an entry that is not fails the rule, as it always did."""
+    if np.logical_and.reduce(m == m.T, axis=None) and np.isfinite(np.add.reduce(m, axis=None)):
+        return True
     return bool(_within(m - m.T, EXACT_TOL, m).all())
 
 
@@ -92,15 +99,17 @@ class WeightedDigraph:
     strictly positive, and every weight is finite.
 
     Since the graph never changes, it remembers what its checks found: whether
-    its weights are symmetric, and per partition the cell profiles of a
+    its weights are symmetric, its degrees once a Laplacian has summed them,
+    and per partition the cell profiles and partition order of a
     `validate_starlike` that passed. A check runs once per graph, so
     validate-then-`lq_switch` checks once; a check that fails is not
-    remembered and fails the same way again. A copy or pickle starts with
+    remembered and fails the same way again. A switch of a graph recorded as
+    symmetric is born recorded as symmetric. A copy or pickle starts with
     nothing remembered.
     """
 
-    # _facts: results of passed checks, keyed by "symmetric" and by
-    # ("starlike", partition); never an n x n array
+    # _facts: results of passed checks and sums, keyed by "symmetric",
+    # "degrees" and ("starlike", partition); O(n) arrays at most, never n x n
     __slots__ = ("order", "_adjacency", "_edges", "_facts")
 
     def __init__(self, order: int, edges: Mapping[tuple[int, int], float] | None = None):
@@ -109,12 +118,14 @@ class WeightedDigraph:
         self._adopt(_dense(order, *pairs, np.fromiter(edges.values(), float, len(edges))))
 
     def _adopt(self, a: np.ndarray) -> None:
-        raise_first(
-            (~np.isfinite(a).all(axis=1), lambda v: InvalidGraph(
-                f"vertex {v} has an edge of non-finite weight")),
-            (np.diagonal(a) < 0, lambda v: InvalidGraph(
-                f"loop at {v} must have positive weight, got {a[v, v]}")),
-        )
+        checks = [(a.diagonal() < 0, lambda v: InvalidGraph(
+            f"loop at {v} must have positive weight, got {a[v, v]}"))]
+        # a finite sum proves every weight finite; only a sum that overflows
+        # or meets a non-finite weight pays for the row-by-row scan
+        if not np.isfinite(np.add.reduce(a, axis=None)):
+            checks.insert(0, (~np.isfinite(a).all(axis=1), lambda v: InvalidGraph(
+                f"vertex {v} has an edge of non-finite weight")))
+        raise_first(*checks)
         a.flags.writeable = False
         for name, value in (("order", len(a)), ("_adjacency", a), ("_edges", None),
                             ("_facts", {})):
@@ -127,29 +138,50 @@ class WeightedDigraph:
         return (WeightedDigraph.from_adjacency, (self._adjacency,))
 
     @classmethod
+    def _of(cls, a: np.ndarray, symmetric: bool = False) -> "WeightedDigraph":
+        """Graph that takes over a new square float matrix, without a copy;
+        symmetric=True records that a is exactly symmetric."""
+        g = cls.__new__(cls)
+        g._adopt(a)
+        if symmetric:
+            g._facts["symmetric"] = True
+        return g
+
+    @classmethod
     def from_adjacency(cls, a: np.ndarray) -> "WeightedDigraph":
         """Graph of a square matrix (copied) whose entry (i, j) is the weight of i -> j."""
         a = np.array(_square(a))
         if not a.size:
             raise InvalidGraph("order must be positive, got 0")
-        g = cls.__new__(cls)
-        g._adopt(a)
-        return g
+        return cls._of(a)
 
     @classmethod
     def from_edges(cls, order: int, triples: Iterable[tuple[int, int, float]]) -> "WeightedDigraph":
-        """Graph of (u, v, weight) triples; a list, or an array with one triple per row."""
-        table = np.array(triples if isinstance(triples, np.ndarray) else list(triples), dtype=float)
-        rows, cols, weights = table.reshape(-1, 3).T
+        """Graph of (u, v, weight) triples: a list of them, or an array of
+        shape (k, 3) with one triple per row. An empty input has no edges;
+        any other shape raises InvalidGraph."""
+        items = triples if isinstance(triples, np.ndarray) else list(triples)
+        try:
+            table = np.array(items, dtype=float)
+        except ValueError:
+            shapes = {np.shape(item) for item in items}
+            if len(shapes) > 1:
+                raise InvalidGraph(f"edges must be (u, v, weight) triples, "
+                                   f"got rows of shapes {sorted(shapes)}") from None
+            raise
+        if table.shape == (0,):
+            table = table.reshape(0, 3)
+        if table.ndim != 2 or table.shape[1] != 3:
+            raise InvalidGraph(f"edges must be (u, v, weight) triples, a table of shape (k, 3); "
+                               f"got shape {table.shape}")
+        rows, cols, weights = table.T
         a = _dense(order, rows, cols, weights)
         # every pair is a vertex pair now, so equal keys mean equal pairs
         repeated = np.ones(len(rows), dtype=bool)
         repeated[np.unique(rows * order + cols, return_index=True)[1]] = False
         raise_first((repeated, lambda i: InvalidGraph(
             f"duplicate ordered pair ({rows[i]:g}, {cols[i]:g})")))
-        g = cls.__new__(cls)
-        g._adopt(a)
-        return g
+        return cls._of(a)
 
     @property
     def edges(self) -> Mapping[tuple[int, int], float]:
@@ -199,8 +231,26 @@ def degree_matrix(g: WeightedDigraph) -> np.ndarray:
     return np.diag(np.abs(g._adjacency).sum(axis=1))
 
 
+def _with_degrees(g: WeightedDigraph, combine) -> np.ndarray:
+    """combine(degree_matrix(g), A), combine being np.subtract or np.add, in
+    one n x n array; off the diagonal combine(0.0, a) is what the dense Deg
+    gives, -0.0 included. The graph records its degrees, which are summed in
+    that array on the first call."""
+    _require_symmetric_weights(g)
+    a = g._adjacency
+    degrees = g._facts.get("degrees")
+    if degrees is None:
+        m = np.abs(a)
+        degrees = g._facts["degrees"] = np.add.reduce(m, axis=1)  # as m.sum(axis=1)
+        combine(0.0, a, out=m)
+    else:
+        m = combine(0.0, a)
+    m.flat[:: a.shape[0] + 1] = combine(degrees, a.diagonal())
+    return m
+
+
 def _require_symmetric_weights(g: WeightedDigraph) -> None:
-    if not g.is_symmetric():
+    if not (g._facts.get("symmetric") or g.is_symmetric()):
         a = g._adjacency
         u, v = np.argwhere(a != a.T)[0]
         raise AsymmetricWeights(f"w({u}, {v}) = {a[u, v]} but w({v}, {u}) = {a[v, u]}")
@@ -208,14 +258,12 @@ def _require_symmetric_weights(g: WeightedDigraph) -> None:
 
 def laplacian(g: WeightedDigraph) -> np.ndarray:
     """Laplacian D - A; defined only for symmetric weights."""
-    _require_symmetric_weights(g)
-    return degree_matrix(g) - g._adjacency
+    return _with_degrees(g, np.subtract)
 
 
 def signless_laplacian(g: WeightedDigraph) -> np.ndarray:
     """Signless Laplacian D + A; defined only for symmetric weights."""
-    _require_symmetric_weights(g)
-    return degree_matrix(g) + g._adjacency
+    return _with_degrees(g, np.add)
 
 
 def spectrum(m: np.ndarray) -> np.ndarray:
@@ -327,7 +375,7 @@ def _spectra(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 def _gap(sa: np.ndarray, sb: np.ndarray, tol: float) -> float:
     """`spectral_gap` of two spectra as `_spectra` returns them."""
     if not np.iscomplexobj(sa):
-        return float(np.max(np.abs(sa - sb), initial=0.0))
+        return float(np.abs(sa - sb).max(initial=0.0))
     z = np.concatenate([sa, sb])
     labels = _clusters(z, np.sqrt(tol) * (1.0 + np.max(np.abs(z))))
     side = np.repeat([1.0, -1.0], len(sa))  # +1 for the eigenvalues of a, -1 for b
@@ -367,9 +415,10 @@ def cospectral(a: np.ndarray, b: np.ndarray, tol: float = NUMERIC_TOL) -> bool:
     `spectral_gap`); the verdict is identical either way.
     """
     a, b = _square(a), _square(b)
-    # the extremes of a and b bound max |entry| without a temporary matrix
-    scale = [f(x, initial=0.0) for f in (np.min, np.max) for x in (a, b)]
-    return bool(_within(spectral_gap(a, b, tol), tol, scale))
+    # the extremes of a and b give max |entry| without a temporary matrix
+    hi = max(np.maximum.reduce(x, axis=None, initial=0.0) for x in (a, b))
+    lo = min(np.minimum.reduce(x, axis=None, initial=0.0) for x in (a, b))
+    return bool(spectral_gap(a, b, tol) <= tol * (1.0 + max(hi, -lo)))
 
 
 def _vertex_signature(a: np.ndarray, v: int) -> tuple:

@@ -23,7 +23,10 @@ class DensityMatrix:
     """Validated quantum state: real symmetric, trace one, PSD.
 
     `matrix` is a read-only copy of the input, so the spectrum solved once
-    for the PSD check stays valid for `eigenvalues`.
+    for the PSD check stays valid for `eigenvalues`. Symmetry allows
+    |m_ij - m_ji| <= EXACT_TOL, the trace |tr - 1| <= EXACT_TOL and the least
+    eigenvalue -NUMERIC_TOL; a NaN entry fails the symmetry check, before
+    any eigensolver runs.
     """
 
     matrix: np.ndarray
@@ -33,13 +36,28 @@ class DensityMatrix:
         m = np.array(_square(self.matrix))
         m.flags.writeable = False
         object.__setattr__(self, "matrix", m)
-        if np.max(np.abs(m - m.T), initial=0.0) > EXACT_TOL:
+        # written so that NaN fails: NaN != NaN, and no comparison with NaN holds
+        if not ((m == m.T).all() or np.max(np.abs(m - m.T), initial=0.0) <= EXACT_TOL):
             raise NotSymmetric(f"density matrix must be symmetric within {EXACT_TOL:g}")
-        trace = float(np.trace(m))
-        if abs(trace - 1.0) > EXACT_TOL:
+        self._solve()
+
+    @classmethod
+    def _of_symmetric(cls, m: np.ndarray) -> "DensityMatrix":
+        """State of a new, exactly symmetric matrix, taken over without a copy;
+        the trace and PSD checks still run."""
+        m.flags.writeable = False
+        rho = cls.__new__(cls)
+        object.__setattr__(rho, "matrix", m)
+        rho._solve()
+        return rho
+
+    def _solve(self) -> None:
+        m = self.matrix
+        trace = float(m.trace())
+        if not -EXACT_TOL <= trace - 1.0 <= EXACT_TOL:
             raise ZeroTrace(f"trace must be 1, got {trace}")
         spectrum = np.linalg.eigvalsh(m)
-        if float(spectrum[0]) < -NUMERIC_TOL:
+        if not float(spectrum[0]) >= -NUMERIC_TOL:
             raise NotPSD(f"density matrix has an eigenvalue below {-NUMERIC_TOL:g}")
         object.__setattr__(self, "_spectrum", spectrum)
 
@@ -57,20 +75,24 @@ def density_from_graph(g: WeightedDigraph, kind: SpectralKind) -> DensityMatrix:
 
     Raises ZeroTrace for an edgeless loopless graph, AsymmetricWeights when
     the Laplacian is undefined, and NotPSD if normalization produced an
-    indefinite matrix.
+    indefinite matrix. The Laplacian exists only for symmetric weights and
+    is then exactly symmetric, so the state is built from it in place: no
+    copy and no symmetry check, only the trace and PSD checks of
+    `DensityMatrix`, which gives the same state.
     """
     m = spectral_matrix(g, kind)
-    trace = float(np.trace(m))
+    trace = float(m.trace())
     if trace <= 0.0:
         raise ZeroTrace("graph has no edges or loops, so the trace is zero")
-    return DensityMatrix(m / trace)
+    m /= trace
+    return DensityMatrix._of_symmetric(m)
 
 
 def von_neumann_entropy(rho: DensityMatrix) -> float:
     """S = -sum_i lambda_i log2(lambda_i), with 0 log 0 = 0."""
     lam = rho.eigenvalues()
     lam = lam[lam > 0.0]
-    s = float(-np.sum(lam * np.log2(lam)))
+    s = float(-np.add.reduce(lam * np.log2(lam)))
     return s if s > 0.0 else 0.0
 
 

@@ -34,7 +34,9 @@ from .graph import (
     NUMERIC_TOL, WeightedDigraph, _require_symmetric_weights, _within, adjacency_matrix, laplacian,
     signless_laplacian,
 )
-from .switching import SeidelPartition, _checked, _in_partition_order, _Partitioned, _verify_switch
+from .switching import (
+    SeidelPartition, _checked, _in_partition_order, _Layout, _Partitioned, _verify_switch,
+)
 from .switching import validate_seidel  # noqa: F401  kept importable from this module
 
 
@@ -78,54 +80,54 @@ def validate_starlike(g: WeightedDigraph, part: SeidelPartition) -> list[Starlik
     partition, or an `lq_switch`, does not check again. Each call returns a
     new list.
     """
-    profiles = g._facts.get(("starlike", part))
-    if profiles is None:
-        profiles = _starlike(g, part)[1]
-    return list(profiles)
+    recorded = g._facts.get(("starlike", part))
+    return list(recorded[0] if recorded else _starlike(g, part)[0])
 
 
-def _starlike(g: WeightedDigraph, part: SeidelPartition) -> tuple[_Partitioned, tuple]:
-    """Run the checks of `validate_starlike`; return the adjacency matrix in
-    partition order and the cell profiles, which g records."""
+def _starlike(g: WeightedDigraph, part: SeidelPartition) -> tuple[tuple, _Layout]:
+    """Run the checks of `validate_starlike`; return the cell profiles and
+    the partition layout, which g records together."""
     blocks, table = _checked(g, part)
     k, m, sizes = len(part.cells), blocks.m, blocks.sizes
-    cell_of = np.repeat(np.arange(k), sizes)  # cell of each cell vertex, in partition order
-    cross = (blocks.p[:m, :m] != 0) & (cell_of[:, None] != cell_of)
-    if cross.any():
+    cell_of = blocks.cell_of
+    # every edge lies in a diagonal block, a hub row or column, or joins two cells
+    a = adjacency_matrix(g)
+    if np.count_nonzero(a) > table.nonzero_inside + np.add.reduce(table.w != 0, axis=None):
+        cells = blocks.perm[:m]
+        cross = (a[cells[:, None], cells] != 0) & (cell_of[:, None] != cell_of)
         rows, cols = np.nonzero(cross)
         j = np.lexsort((cols, rows, cell_of[cols], cell_of[rows]))[0]
         u, v = blocks.perm[rows[j]], blocks.perm[cols[j]]
         i, i2 = cell_of[rows[j]], cell_of[cols[j]]
         raise CrossCellEdge(f"edge ({u}, {v}) joins cell {i} to cell {i2}")
 
-    category, cat2 = table.category, table.category == 2
-    p, q, r = (np.count_nonzero(category == c, axis=1) for c in (1, 2, 3))
+    kinds = table.kinds  # per category 1, 2, 3, cell and hub
+    cat2 = kinds[1]
     # every category-2 hub must attach to the half of its cell's first one,
     # or to the complement, as many to each
     reference = np.zeros(m, dtype=bool)
-    if q.any():
-        reference = table.attached[np.arange(m), np.argmax(cat2, axis=1)[cell_of]]
-    overlap = blocks.per_cell(np.add, table.attached & reference[:, None], axis=0)
+    if cat2.shape[1]:
+        reference = table.attached[np.arange(m), cat2.argmax(axis=1)[cell_of]]
+    overlap = np.add.reduceat(table.attached & reference[:, None], blocks.starts, axis=0)
     same, flipped = cat2 & (2 * overlap == sizes[:, None]), cat2 & (overlap == 0)
-    broken = (q > 0) & (np.any(cat2 & ~(same | flipped), axis=1) | ~flipped.any(axis=1))
+    p, q, r, stray, n_same, n_flipped = np.add.reduce(
+        np.concatenate((kinds, [cat2 & ~(same | flipped), same, flipped])), axis=2)
+    broken = (q > 0) & ((stray > 0) | (n_flipped == 0))
 
     # per category (1, 2) and direction: the one weight the hubs carry where
     # they attach (0.0 for none), and whether they carry more than one
-    mask = np.stack((category == 1, cat2))[:, None]
-    nonzero = (mask & (table.present > 0)).any(axis=3)
-    zero = (mask & (table.present < table.count)).any(axis=3)
-    hi = np.where(mask, table.hi, -np.inf).max(axis=3, initial=-np.inf)
-    lo = np.where(mask, table.lo, np.inf).min(axis=3, initial=np.inf)
+    mask = kinds[:2, None]
+    nonzero, zero = np.logical_or.reduce(
+        mask & np.array([table.present > 0, table.present < table.count])[:, None], axis=4)
+    hi, neg_lo = np.maximum.reduce(
+        np.where(mask, np.array([table.hi, -table.lo])[:, None], -np.inf), axis=4, initial=-np.inf)
     weights = np.where(nonzero, hi, 0.0).reshape(4, k)
-    faults = (nonzero & (zero | (hi != lo))).reshape(4, k)
+    faults = (nonzero & (zero | (hi != -neg_lo))).reshape(4, k)
 
-    def nonuniform(error, c, direction):
-        def make(i):
-            s, n, hubs = blocks.starts[i], sizes[i], category[i] == c
-            values = table.w[direction][s : s + n, hubs][table.attached[s : s + n, hubs]]
-            return error(f"cell {i}: weights {np.unique(values).tolist()} are not uniform")
-
-        return make
+    def nonuniform(error, c, direction, i):
+        s, n, hubs = blocks.starts[i], sizes[i], kinds[c - 1, i]
+        values = table.w[direction][s : s + n, hubs][table.attached[s : s + n, hubs]]
+        return error(f"cell {i}: weights {np.unique(values).tolist()} are not uniform")
 
     def not_halves(i):
         s, n = blocks.starts[i], sizes[i]
@@ -135,20 +137,19 @@ def _starlike(g: WeightedDigraph, part: SeidelPartition) -> tuple[_Partitioned, 
                                       f"cell {i}: attachment halves are not complementary")
 
     raise_first(
-        (faults[0], nonuniform(NonuniformCategory1Weights, 1, 0)),
-        (faults[1], nonuniform(NonuniformCategory1Weights, 1, 1)),
+        (faults[0], lambda i: nonuniform(NonuniformCategory1Weights, 1, 0, i)),
+        (faults[1], lambda i: nonuniform(NonuniformCategory1Weights, 1, 1, i)),
         (q % 2 != 0, lambda i: OddCategory2Count(f"cell {i} has {q[i]} category-2 hub vertices")),
         (broken, not_halves),
-        (same.sum(axis=1) != flipped.sum(axis=1), lambda i: NonComplementaryHalves(
-            f"cell {i}: halves carry {same[i].sum()} and {flipped[i].sum()} vertices")),
-        (faults[2], nonuniform(NonuniformCategory2Weights, 2, 0)),
-        (faults[3], nonuniform(NonuniformCategory2Weights, 2, 1)),
+        (n_same != n_flipped, lambda i: NonComplementaryHalves(
+            f"cell {i}: halves carry {n_same[i]} and {n_flipped[i]} vertices")),
+        (faults[2], lambda i: nonuniform(NonuniformCategory2Weights, 2, 0, i)),
+        (faults[3], lambda i: nonuniform(NonuniformCategory2Weights, 2, 1, i)),
     )
-    profiles = g._facts["starlike", part] = tuple(
-        StarlikeCellProfile(i, *(float(w) for w in weights[:, i]), int(p[i]), int(q[i]), int(r[i]))
-        for i in range(k)
-    )
-    return blocks, profiles
+    profiles = tuple(map(StarlikeCellProfile, range(k), *weights.tolist(), p.tolist(), q.tolist(),
+                         r.tolist()))
+    g._facts["starlike", part] = profiles, blocks
+    return profiles, blocks
 
 
 def lift_graph(g: WeightedDigraph, kind: SpectralKind) -> WeightedDigraph:
@@ -209,14 +210,23 @@ def lq_switch(
     starlike validation and certifies M(G') = U M U, as verify=True does; a
     forced switch that is not L/Q-cospectral raises VerificationFailed.
     Without force, the starlike validation runs unless `validate_starlike`
-    already passed on g and an equal partition.
+    already passed on g and an equal partition; then the partition order
+    recorded with it is used, and A is permuted once, in the switch. G'
+    takes the switched matrix without a copy, and its weights are recorded
+    as symmetric: the switch of a symmetric A is exactly symmetric
+    (`switching`), so no Laplacian of G' scans them again.
     """
-    if force or ("starlike", part) in g._facts:
-        blocks = _in_partition_order(g, part)
+    recorded = g._facts.get(("starlike", part))
+    if recorded:
+        layout = recorded[1]
+    elif force:
+        layout = _in_partition_order(g, part)
     else:
-        blocks = _starlike(g, part)[0]
+        layout = _starlike(g, part)[1]
     _require_symmetric_weights(g)
-    result = WeightedDigraph.from_adjacency(blocks.conjugated())
+    # the switch of a symmetric A is exactly symmetric (`switching` docstring)
+    result = WeightedDigraph._of(_Partitioned(adjacency_matrix(g), layout, True).conjugated(),
+                                 symmetric=True)
     if force or verify:
         _verify_switch(spectral_matrix(g, kind), spectral_matrix(result, kind), part)
     return result

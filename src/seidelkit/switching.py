@@ -28,8 +28,9 @@ Every per-cell check of `validate_seidel` and `validate_starlike` reads one
 hub table, built once per call by `_checked` from the hub weights
 w[direction, cell vertex, hub] (direction 0 outgoing, 1 incoming): per
 direction, cell and hub the count, min and max of the nonzero weights; per
-cell and hub the count of attached cell vertices and the category (1 for
-all, 2 for half, 3 for none, 0 for any other count).
+cell and hub the count of attached cell vertices and whether the hub is in
+category 1 (attached to all), 2 (to half) or 3 (to none); a hub with any
+other count is in none.
 """
 
 from __future__ import annotations
@@ -184,7 +185,7 @@ def switch_cross_block(a: np.ndarray) -> np.ndarray:
         raise NonConstantRowSum(f"row sums vary: {row_sums}")
     full = np.zeros((m + n, m + n))
     full[:m, m:] = a
-    return _Partitioned(full, (range(m), range(m, m + n)), ()).conjugated()[:m, m:]
+    return _Partitioned(full, _Layout((range(m), range(m, m + n)), ())).conjugated()[:m, m:]
 
 
 def flip_half_pattern(x: Sequence[float]) -> np.ndarray:
@@ -203,118 +204,177 @@ def flip_half_pattern(x: Sequence[float]) -> np.ndarray:
     n = len(x)
     full = np.zeros((n + 1, n + 1))
     full[n, :n] = x
-    return _Partitioned(full, (range(n),), (n,)).conjugated()[n, :n]
+    return _Partitioned(full, _Layout((range(n),), (n,))).conjugated()[n, :n]
+
+
+class _Layout:
+    """The partition order of a vertex set: the cells as consecutive blocks,
+    then D, so that every per-cell quantity of a matrix in this order is one
+    `reduceat` over whole rows or columns, from `starts`. It holds O(n)
+    index arrays only, so a graph may record it with a check that passed.
+    `cells` and `d` are vertex sequences; a cell of one vertex behaves like
+    a vertex of D, since U_1 = I.
+    """
+
+    def __init__(self, cells, d):
+        k = len(cells)
+        self.sizes = np.fromiter(map(len, cells), dtype=np.intp, count=k)
+        self.starts = self.sizes.cumsum() - self.sizes
+        self.perm = np.fromiter(chain(*cells, d), dtype=np.intp)
+        self.m = len(self.perm) - len(d)  # cells fill [0, m), D the rest
+        part = np.arange(k + 1).repeat(np.concatenate((self.sizes, [len(d)])))  # k for D
+        self.cell_of = part[: self.m]  # of each cell position
+        self.part_of = np.empty(len(part), dtype=np.intp)  # of each vertex
+        self.part_of.put(self.perm, part, mode="clip")  # meaningless unless the parts cover
+
+    def blocks(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+        """The diagonal blocks of the parts, the cells and then D (if any):
+        the row and column vertex of each entry, block by block and row by
+        row in partition order; where each position's row starts among
+        them; and where each part starts among the positions."""
+        d = len(self.perm) - self.m
+        parts = np.concatenate((self.sizes, [d])) if d else self.sizes
+        starts = parts.cumsum() - parts
+        size = parts.repeat(parts)  # of the part of each position
+        seg = size.cumsum() - size
+        rows = self.perm.repeat(size)
+        cols = self.perm[np.arange(len(rows)) - (seg - starts.repeat(parts)).repeat(size)]
+        return rows, cols, seg, starts
 
 
 class _Partitioned:
-    """A square matrix permuted into partition order.
+    """A square matrix, in its own vertex order, and a layout that covers it.
+    `symmetric` says that the matrix is exactly symmetric, so its row sums
+    over a cell are its column sums."""
 
-    The cells become consecutive diagonal blocks and D the trailing one, so
-    every per-cell quantity is one `reduceat` over whole rows or columns.
-    `cells` and `d` are vertex sequences that cover the matrix; a cell of one
-    vertex behaves like a vertex of D, since U_1 = I.
-    """
-
-    def __init__(self, a: np.ndarray, cells, d):
-        self.sizes = np.array([len(c) for c in cells], dtype=np.intp)
-        self.starts = np.cumsum(self.sizes) - self.sizes
-        self.m = int(self.sizes.sum())  # cells fill [0, m), D the rest
-        self.perm = np.fromiter(chain(*cells, d), dtype=np.intp, count=self.m + len(d))
-        self.p = a[np.ix_(self.perm, self.perm)]
-
-    def per_cell(self, ufunc, x: np.ndarray, axis: int = 1) -> np.ndarray:
-        """`ufunc` reduced over each cell's columns (axis 1) or rows (axis 0)."""
-        return ufunc.reduceat(x, self.starts, axis=axis)
+    def __init__(self, a: np.ndarray, layout: _Layout, symmetric: bool = False):
+        self.a, self.layout, self.symmetric = a, layout, symmetric
 
     def conjugated(self) -> np.ndarray:
-        """U A U, in the matrix's own vertex order."""
-        p, m, sizes = self.p, self.m, self.sizes
-        out = p.copy()
-        if m:
-            # twice the mean of each row over each cell, and of each column
-            rows2 = 2.0 * self.per_cell(np.add, p[:, :m]) / sizes
-            cols2 = 2.0 * self.per_cell(np.add, p[:m], axis=0) / sizes[:, None]
-            out[m:, :m] = np.repeat(rows2[m:], sizes, axis=1) - p[m:, :m]
-            out[:m, m:] = np.repeat(cols2[:, m:], sizes, axis=0) - p[:m, m:]
-            # cross blocks; half[i, j] = 2 S_ij / (m_i n_j), as the module docstring says
-            half = (self.per_cell(np.add, rows2[:m], axis=0) / sizes[:, None]
-                    + self.per_cell(np.add, cols2[:, :m]) / sizes) / 2.0
-            col_part = cols2[:, :m] - np.repeat(half, sizes, axis=1)
-            both = np.repeat(rows2[:m] - np.repeat(half, sizes, axis=0), sizes, axis=1)
-            for s, n, c in zip(self.starts, sizes, col_part):  # no second m x m array
-                both[s : s + n] += c
-            out[:m, :m] -= both
-            top = p.min(), p.max()  # snap rounding residues, as the module docstring says
-            for block in (out[:m], out[m:, :m]):
-                block[_within(block, EXACT_TOL, top)] = 0.0
-            for s, n in zip(self.starts, sizes):
-                out[s : s + n, s : s + n] = p[s : s + n, s : s + n]
-        result = np.empty_like(out)
-        result[np.ix_(self.perm, self.perm)] = out
+        """U A U, in the matrix's own vertex order.
+
+        Only rows are permuted: the work runs on A with its rows in partition
+        order and its columns in vertex order, which every per-cell row sum
+        reads in partition order, so every entry is computed as in partition
+        order. The result, a second n x n array, first holds the
+        intermediate sums. No other n x n array is made, but for the cell
+        columns of an asymmetric A."""
+        a, lay = self.a, self.layout
+        m, sizes, starts, perm = lay.m, lay.sizes, lay.starts, lay.perm
+        if not m:
+            return a.copy()
+        cells, hubs, cell_of, part_of = perm[:m], perm[m:], lay.cell_of, lay.part_of
+        q = a.take(perm, axis=0)
+        # twice the mean of each row over each cell, and of each column
+        cols2 = 2.0 * np.add.reduceat(q[:m], starts, axis=0) / sizes[:, None]
+        # cross blocks; half[i, j] = 2 S_ij / (m_i n_j), as the module docstring says
+        if self.symmetric:
+            rows2 = cols2.T[perm]
+            row_sums = np.add.reduceat(rows2[:m], starts, axis=0)
+            col_sums = row_sums.T
+        else:
+            rows2 = (2.0 * np.add.reduceat(a.take(cells, axis=1), starts, axis=1) / sizes)[perm]
+            row_sums = np.add.reduceat(rows2[:m], starts, axis=0)
+            col_sums = np.add.reduceat(cols2[:, cells], starts, axis=1)
+        half = (row_sums / sizes[:, None] + col_sums / sizes) / 2.0
+        result = np.empty(q.shape)
+        both = result[:m]
+        # D columns take the values of the last cell here; they are recomputed below
+        (rows2[:m] - half.repeat(sizes, axis=0)).take(part_of, axis=1, out=both, mode="clip")
+        col_part = cols2 - half.take(part_of, axis=1, mode="clip")
+        for s, n, c in zip(starts.tolist(), sizes.tolist(), col_part):
+            both[s : s + n] += c  # no second m x n array
+        # max |entry| of A, before q changes
+        top = max(np.maximum.reduce(q, axis=None), -np.minimum.reduce(q, axis=None), 0.0)
+        hub_columns = q[:m, hubs]
+        q[:m] -= both
+        q[:m, hubs] = cols2[:, hubs][cell_of] - hub_columns
+        q[m:] = rows2[m:].take(part_of, axis=1, mode="clip") - q[m:]
+        # snap rounding residues, as the module docstring says: a product
+        # with the keep mask, plus 0.0 for the -0.0 that a negative residue
+        # leaves; the diagonal blocks, cell interiors and D x D, are copied
+        # from A afterwards
+        np.multiply(q, np.abs(q, out=result) > EXACT_TOL * (1.0 + top), out=q)
+        q += 0.0
+        result[perm] = q
+        inside = np.ravel_multi_index(lay.blocks()[:2], result.shape)
+        result.put(inside, a.take(inside))
         return result
 
 
-def _in_partition_order(g: WeightedDigraph, part: SeidelPartition) -> _Partitioned:
-    """The adjacency matrix of g in the order of `part`, which must cover g."""
-    part.check_cover(g.order)
-    return _Partitioned(adjacency_matrix(g), part.cells, part.d_cell)
+def _in_partition_order(g: WeightedDigraph, part: SeidelPartition) -> _Layout:
+    """The layout of `part`, which must cover g."""
+    n = g.order
+    try:
+        layout = _Layout(part.cells, part.d_cell)
+    except OverflowError:  # a vertex beyond any index covers nothing
+        part.check_cover(n)
+    # the parts are disjoint, so n vertices in 0..n-1 cover them; a negative
+    # vertex wraps to a large unsigned one
+    if len(layout.perm) != n or not np.logical_and.reduce(layout.perm.view(np.uintp) < n):
+        part.check_cover(n)
+    return layout
 
 
-def _checked(g: WeightedDigraph, part: SeidelPartition) -> tuple[_Partitioned, SimpleNamespace]:
-    """Run the checks of `validate_seidel`; return the adjacency matrix in
-    partition order and its hub table."""
-    blocks = _in_partition_order(g, part)
-    m, d, order = blocks.m, part.d_cell, g.order
+def _checked(g: WeightedDigraph, part: SeidelPartition) -> tuple[_Layout, SimpleNamespace]:
+    """Run the checks of `validate_seidel`; return the partition layout and
+    the hub table. Only the diagonal blocks and the hub rows and columns of
+    A are read, in A's own vertex order: A is not permuted here."""
+    lay = _in_partition_order(g, part)
+    a, n, m, perm, d = g._adjacency, g.order, lay.m, lay.perm, part.d_cell
     # (b) for all parts at once, the cells and then D: a part's interior row
-    # (column) sums are the sums of its rows (columns) over its own vertices
-    starts = blocks.starts.tolist() + ([m] if d else [])
-    part_of = np.repeat(np.arange(len(starts)), np.diff(starts + [order]))
-    both = np.stack((np.abs(blocks.p), blocks.p))
-    sums = np.concatenate((np.add.reduceat(both, starts, axis=2)[:, np.arange(order), part_of],
-                           np.add.reduceat(both, starts, axis=1)[:, part_of, np.arange(order)]))
-    hi, neg_lo = np.maximum.reduceat(np.stack((sums, -sums)), starts, axis=2)
-    irregular = (hi + neg_lo > EXACT_TOL * (1.0 + np.maximum(hi, neg_lo))).any(axis=0)
-    labels = [f"cell {i}" for i in range(len(part.cells))] + ["D"]
+    # (column) sums are the sums of its rows (columns) over its own vertices.
+    # Its block is gathered row by row, then column by column, so that each
+    # sum is one segment of one reduceat, added in partition order.
+    rows, cols, seg, starts = lay.blocks()
+    entries = a.take(np.concatenate((rows * n + cols, cols * n + rows)))
+    # absolute then signed, row sums then column sums: a (4, n) table
+    segments = (seg + np.arange(0, 2 * len(entries), len(rows))[:, None]).ravel()
+    sums = np.add.reduceat(np.concatenate((np.abs(entries), entries)), segments).reshape(4, n)
+    extremes = np.maximum.reduceat(np.concatenate((sums, -sums)), starts, axis=1)
+    hi, neg_lo = extremes.reshape(2, 4, -1)
+    irregular = np.logical_or.reduce(hi + neg_lo > EXACT_TOL * (1.0 + np.maximum(hi, neg_lo)))
     raise_first((irregular, lambda i: NotRegularInduced(
-        f"induced subgraph on {labels[i]} is not regular")))
+        f"induced subgraph on {f'cell {i}' if i < len(part.cells) else 'D'} is not regular")))
     # the hub table; per-cell arrays put cells before hubs, so that raveling
     # one walks cells first and then hubs, as the checks do
-    w = np.stack((blocks.p[m:, :m].T, blocks.p[:m, m:]))
+    cells, hubs = perm[:m], perm[m:]
+    w = np.concatenate((a.take(hubs, axis=0).take(cells, axis=1).T,
+                        a.take(hubs, axis=1).take(cells, axis=0))).reshape(2, m, len(d))
     nonzero = w != 0
     attached = nonzero[0] | nonzero[1]
-    count, sizes = blocks.per_cell(np.add, attached, axis=0), blocks.sizes[:, None]
+    counts = np.add.reduceat(np.concatenate((nonzero, attached[None])), lay.starts, axis=1)
+    present, count, sizes = counts[:2], counts[2], lay.sizes[:, None]
     table = SimpleNamespace(
-        w=w, attached=attached, count=count, present=blocks.per_cell(np.add, nonzero, axis=1),
-        hi=blocks.per_cell(np.maximum, np.where(nonzero, w, -np.inf), axis=1),
-        lo=blocks.per_cell(np.minimum, np.where(nonzero, w, np.inf), axis=1),
-        category=np.select([count == 0, count == sizes, 2 * count == sizes], [3, 1, 2], 0),
+        w=w, attached=attached, count=count, present=present,
+        hi=np.maximum.reduceat(np.where(nonzero, w, -np.inf), lay.starts, axis=1),
+        lo=np.minimum.reduceat(np.where(nonzero, w, np.inf), lay.starts, axis=1),
+        # categories 1, 2, 3: attached to all, half, none; any other count is in none
+        kinds=count == sizes * np.array([1.0, 0.5, 0.0])[:, None, None],
+        nonzero_inside=np.add.reduce(entries[: len(rows)] != 0),  # of the diagonal blocks
     )
 
-    def fault(error, text, direction=0):
-        def make(j):
-            i, h = divmod(j, len(d))
-            s, n = blocks.starts[i], blocks.sizes[i]
-            row = w[direction, s : s + n, h]
-            allowed = f"0, {n // 2} or {n}" if n % 2 == 0 else f"0 or {n}"
-            return error(text.format(v=d[h], i=i, count=count[i, h], allowed=allowed,
-                                     w=row[row != 0]))
+    def fault(error, text, direction, j):
+        i, h = divmod(j, len(d))
+        s, n = lay.starts[i], lay.sizes[i]
+        row = w[direction, s : s + n, h]
+        allowed = f"0, {n // 2} or {n}" if n % 2 == 0 else f"0 or {n}"
+        return error(text.format(v=d[h], i=i, count=count[i, h], allowed=allowed, w=row[row != 0]))
 
-        return make
-
-    spans = (table.category == 2) & (table.present > 0)  # half-attached, with edges this way
+    spans = table.kinds[1] & (table.present > 0)  # half-attached, with edges this way
     partial = spans & (table.present < count)
     uneven = spans & (table.hi - table.lo > EXACT_TOL * (1.0 + np.maximum(table.hi, -table.lo)))
-    checks = [((table.category == 0).ravel(), fault(BadAdjacencyCount,
-        "hub {v} is adjacent to {count} vertices of cell {i}; allowed counts are {allowed}"))]
+    checks = [(~np.logical_or.reduce(table.kinds), lambda j: fault(BadAdjacencyCount,
+        "hub {v} is adjacent to {count} vertices of cell {i}; allowed counts are {allowed}", 0, j))]
     for k, name in enumerate(("outgoing", "incoming")):
         checks += [
-            (partial[k].ravel(), fault(UnequalWeights,
-                f"hub {{v}} / cell {{i}}: {name} edges cover only part of the attachment")),
-            (uneven[k].ravel(), fault(UnequalWeights,
-                f"hub {{v}} / cell {{i}}: unequal {name} weights {{w}}", k)),
+            (partial[k], lambda j, name=name: fault(UnequalWeights,
+                f"hub {{v}} / cell {{i}}: {name} edges cover only part of the attachment", 0, j)),
+            (uneven[k], lambda j, name=name, k=k: fault(UnequalWeights,
+                f"hub {{v}} / cell {{i}}: unequal {name} weights {{w}}", k, j)),
         ]
     raise_first(*checks)
-    return blocks, table
+    return lay, table
 
 
 def validate_seidel(g: WeightedDigraph, part: SeidelPartition) -> CategoryReport:
@@ -327,9 +387,11 @@ def validate_seidel(g: WeightedDigraph, part: SeidelPartition) -> CategoryReport
     case, (d) parallel edges only occur as oppositely oriented pairs, which
     the graph model guarantees.
     """
-    d, category = part.d_cell, _checked(g, part)[1].category
-    categories = {(i, v): c for i, row in enumerate(category.tolist()) for v, c in zip(d, row)}
-    counts = zip(*(np.count_nonzero(category == c, axis=1).tolist() for c in (1, 2, 3)))
+    d, kinds = part.d_cell, _checked(g, part)[1].kinds
+    category = np.arange(1, 4) @ kinds.reshape(3, -1)  # 0 for a count that is in none
+    categories = {(i, v): c for i, row in enumerate(category.reshape(kinds.shape[1:]).tolist())
+                  for v, c in zip(d, row)}
+    counts = zip(*kinds.sum(axis=2).tolist())
     return CategoryReport(categories=categories, counts=tuple(counts))
 
 
@@ -354,7 +416,11 @@ def switch(g: WeightedDigraph, part: SeidelPartition, verify: bool = False) -> W
     certifies the result against the dense U A U under the tolerance rule of
     `graph`, which proves cospectrality; meant for tests, not production runs.
     """
-    result = WeightedDigraph.from_adjacency(_checked(g, part)[0].conjugated())
+    layout = _checked(g, part)[0]
+    # the switch of an exactly symmetric A is exactly symmetric (module docstring)
+    symmetric = g._facts.get("symmetric", False)
+    result = WeightedDigraph._of(_Partitioned(adjacency_matrix(g), layout, symmetric).conjugated(),
+                                 symmetric=symmetric)
     if verify:
         _verify_switch(adjacency_matrix(g), adjacency_matrix(result), part)
     return result

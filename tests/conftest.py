@@ -227,6 +227,15 @@ def eigensolves(monkeypatch):
 
 
 @pytest.fixture
+def symmetry_scans(monkeypatch):
+    """The matrices a graph scanned for its symmetry during the test."""
+    scans = []
+    monkeypatch.setattr(np, "array_equal",
+                        lambda a, b, f=np.array_equal: scans.append(a) or f(a, b))
+    return scans
+
+
+@pytest.fixture
 def seidel_checks(monkeypatch):
     """The partitions `switching._checked` ran the Seidel checks on during the
     test, called from `switching` or from `starlike`."""

@@ -68,6 +68,25 @@ class TestConstruction:
         with pytest.raises(InvalidGraph):
             WeightedDigraph.from_edges(2, [(0, 1, 1.0), (0, 1, 2.0)])
 
+    @pytest.mark.parametrize("table, shape", [
+        ([(0, 1), (1, 0), (0, 2), (2, 0), (1, 2), (2, 1)], r"\(6, 2\)"),
+        ([(0, 1, 1.0, 5.0), (1, 0, 1.0, 5.0)], r"\(2, 4\)"),
+        ([0, 1, 1.0], r"\(3,\)"),
+        (np.zeros((0, 2)), r"\(0, 2\)"),
+    ])
+    def test_edges_must_be_triples(self, table, shape):
+        # pairs were once read as triples, two rows at a time
+        with pytest.raises(InvalidGraph, match=f"shape {shape}$"):
+            WeightedDigraph.from_edges(3, table)
+
+    def test_a_ragged_edge_list_names_its_shapes(self):
+        with pytest.raises(InvalidGraph, match=r"rows of shapes \[\(2,\), \(3,\)\]$"):
+            WeightedDigraph.from_edges(3, [(0, 1, 1.0), (1, 0)])
+
+    @pytest.mark.parametrize("table", [[], (), np.zeros((0, 3))])
+    def test_no_edges(self, table):
+        assert WeightedDigraph.from_edges(3, table) == WeightedDigraph(3)
+
     def test_weight_lookup_defaults_to_zero(self):
         assert K2.weight(0, 1) == 1.0
         assert K2.weight(1, 1) == 0.0
@@ -153,7 +172,8 @@ class TestLaplacians:
 
     def test_an_lq_op_scans_each_graph_once(self, monkeypatch):
         # validate_starlike, lq_switch, both spectral matrices and both
-        # densities need symmetric weights; g and its switch are scanned once
+        # densities need symmetric weights; g is scanned once, and its
+        # switch is built with its symmetry recorded
         scanned = []
         monkeypatch.setattr(np, "array_equal",
                             lambda a, b, f=np.array_equal: scanned.append(a) or f(a, b))
@@ -166,7 +186,16 @@ class TestLaplacians:
             cospectral(spectral_matrix(g, kind), spectral_matrix(g2, kind))
             for h in (g, g2):
                 von_neumann_entropy(density_from_graph(h, kind))
-            assert [id(a) for a in scanned] == [id(adjacency_matrix(g)), id(adjacency_matrix(g2))]
+            assert [id(a) for a in scanned] == [id(adjacency_matrix(g))]
+
+    def test_laplacians_are_degrees_minus_and_plus_adjacency(self, rng):
+        # one n x n array and recorded degrees, against the dense formula
+        for draw in range(40):
+            g, _ = random_starlike_instance(rng) if draw % 2 else random_seidel_instance(rng)
+            g = WeightedDigraph.from_adjacency(adjacency_matrix(g) + adjacency_matrix(g).T)
+            for _ in range(2):  # the second call reads the recorded degrees
+                assert np.array_equal(laplacian(g), degree_matrix(g) - adjacency_matrix(g))
+                assert np.array_equal(signless_laplacian(g), degree_matrix(g) + adjacency_matrix(g))
 
     def test_asymmetry_is_reported_every_time(self):
         g = WeightedDigraph.from_edges(2, [(0, 1, 1.0)])

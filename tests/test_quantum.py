@@ -2,17 +2,19 @@
 
 import numpy as np
 import pytest
-from conftest import random_starlike_instance
+from conftest import random_seidel_instance, random_starlike_instance
 
 from seidelkit import (
     DensityMatrix,
     SeidelPartition,
     SpectralKind,
     WeightedDigraph,
+    adjacency_matrix,
     density_from_graph,
     is_pure,
     load_fixture,
     lq_switch,
+    spectral_matrix,
     switching_matrix,
     von_neumann_entropy,
 )
@@ -39,6 +41,24 @@ class TestDensityFromGraph:
     def test_empty_graph_zero_trace(self):
         with pytest.raises(ZeroTrace):
             density_from_graph(WeightedDigraph(3), SpectralKind.LAPLACIAN)
+
+    def test_equals_the_validated_state(self, rng):
+        # density_from_graph skips the copy and the symmetry check; the state
+        # is the one DensityMatrix builds from the normalized Laplacian
+        for draw in range(40):
+            g = (random_starlike_instance if draw % 2 else random_seidel_instance)(rng)[0]
+            g = WeightedDigraph.from_adjacency(adjacency_matrix(g) + adjacency_matrix(g).T)
+            for kind in KINDS:
+                m = spectral_matrix(g, kind)
+                if np.trace(m) <= 0.0:  # loops only: L has trace 0
+                    with pytest.raises(ZeroTrace):
+                        density_from_graph(g, kind)
+                    continue
+                expected = DensityMatrix(m / np.trace(m))
+                rho = density_from_graph(g, kind)
+                assert rho.matrix.tobytes() == expected.matrix.tobytes()
+                assert rho.eigenvalues().tobytes() == expected.eigenvalues().tobytes()
+                assert not rho.matrix.flags.writeable
 
     def test_invariants_on_random_graphs(self, rng):
         for _ in range(20):
@@ -81,6 +101,18 @@ class TestDensityMatrixValidation:
     def test_empty_matrix_has_zero_trace(self):
         with pytest.raises(ZeroTrace):
             DensityMatrix(np.zeros((0, 0)))
+
+    @pytest.mark.parametrize("where", ["off-diagonal", "diagonal", "everywhere"])
+    def test_nan_rejected_before_any_solve(self, where, eigensolves):
+        m = np.full((2, 2), 0.5) if where != "everywhere" else np.full((2, 2), np.nan)
+        if where == "off-diagonal":
+            m[0, 1] = m[1, 0] = np.nan
+        elif where == "diagonal":
+            m[0, 1] = m[1, 0] = 0.0
+            m[1, 1] = np.nan
+        with pytest.raises(NotSymmetric):
+            DensityMatrix(m)
+        assert eigensolves == []
 
     def test_asymmetric_rejected(self):
         m = np.array([[0.5, 0.2], [0.0, 0.5]])

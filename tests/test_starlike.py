@@ -241,6 +241,17 @@ class TestProject:
 
 
 class TestLqSwitch:
+    def test_the_result_is_recorded_symmetric_and_is(self, symmetry_scans):
+        rng = np.random.default_rng(10)
+        for draw in range(300):
+            g, part = random_starlike_instance(rng)
+            g = WeightedDigraph.from_adjacency(adjacency_matrix(g) * (0.1, 1.0, 1 / 3)[draw % 3])
+            h = lq_switch(g, part, KINDS[draw % 2])
+            symmetry_scans.clear()
+            b = adjacency_matrix(h)
+            assert h.is_symmetric() and bool((b == b.T).all())
+            assert symmetry_scans == []
+
     def test_fig4_pipeline_reproduces_right_fixture(self):
         left = load_fixture("fig4_left")
         right = load_fixture("fig4_right")

@@ -25,6 +25,7 @@ from seidelkit import (
     switching,
     switching_matrix,
     validate_seidel,
+    validate_starlike,
 )
 from seidelkit.errors import (
     BadAdjacencyCount,
@@ -390,6 +391,25 @@ class TestSwitch:
         switch(doc.graph(), doc.partition, verify=True)
         assert eigensolves == []
 
+    def test_a_recorded_symmetry_is_the_truth(self, symmetry_scans):
+        # a switch records its result's symmetry exactly when the input's
+        # symmetry is recorded as true, and then it is true
+        rng = np.random.default_rng(9)
+        recorded = 0
+        for draw in range(300):
+            g, part = random_seidel_instance(rng)
+            if draw % 2:  # symmetrized, with non-dyadic weights in every other such draw
+                a = adjacency_matrix(g)
+                g = WeightedDigraph.from_adjacency((a + a.T) * (0.1 if draw % 4 == 1 else 1.0))
+            symmetric = g.is_symmetric()
+            h = switch(g, part)
+            symmetry_scans.clear()
+            b = adjacency_matrix(h)
+            assert h.is_symmetric() == bool((b == b.T).all())
+            assert (symmetry_scans == []) == symmetric
+            recorded += symmetric
+        assert recorded >= 100
+
     def test_symmetric_input_switches_to_a_symmetric_result(self):
         # one-decimal cross weights round, and (i, j) and (j, i) must round alike
         rng = np.random.default_rng(1)
@@ -453,6 +473,17 @@ class TestPartitionVertices:
     def test_only_integers(self, cells, d):
         with pytest.raises(InvalidPartition, match="is not an integer"):
             SeidelPartition(cells, d)
+
+    @pytest.mark.parametrize("cells, d", [(((0, 1),), (3,)), (((0, 1),), (-1,)),
+                                          (((0, 1),), (2**70,)), (((0, 1),), ()),
+                                          (((0, 1),), (2, 3))])
+    def test_a_switch_needs_a_cover(self, cells, d):
+        # a vertex outside 0..2, one missing, one too many or one beyond any
+        # machine integer: the same error, before any check
+        g = WeightedDigraph.from_adjacency(np.ones((3, 3)))
+        for f in (validate_seidel, switch, validate_starlike):
+            with pytest.raises(InvalidPartition, match=r"^partition does not cover vertices 0\.\.2"):
+                f(g, SeidelPartition(cells, d))
 
     def test_numpy_integers(self):
         part = SeidelPartition(((np.int64(1), np.int32(0)),), (np.intp(2),))
