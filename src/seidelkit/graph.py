@@ -48,19 +48,28 @@ ISO_SEARCH_LIMIT = 12
 _CONCURRENT_ORDER = 500
 
 
+def _bound(tol: float, top):
+    """tol * (1 + top): the bound of the tolerance rule, for top = max |entry|."""
+    return tol * (1.0 + top)
+
+
 def _within(x, tol: float, scale) -> np.ndarray:
     """Elementwise |x| <= tol * (1 + max |entry| of scale): the tolerance rule."""
     top = np.maximum(np.max(scale, initial=0.0), -np.min(scale, initial=0.0))  # no |scale| array
-    return np.abs(x) <= tol * (1.0 + top)
+    return np.abs(x) <= _bound(tol, top)
 
 
 def _symmetric(m: np.ndarray) -> bool:
     """m == m.T under the tolerance rule with EXACT_TOL.
 
     An exactly symmetric finite matrix passes on one comparison; the rule
-    runs only when that fails. A finite sum proves every entry finite, and
-    an entry that is not fails the rule, as it always did."""
-    if np.logical_and.reduce(m == m.T, axis=None) and np.isfinite(np.add.reduce(m, axis=None)):
+    runs only when that fails. Row 0 is compared with column 0 first, so
+    an asymmetric matrix is almost always sent to the rule without the
+    full comparison. A finite sum proves every entry finite, and an entry
+    that is not fails the rule, as it always did."""
+    if (len(m) and np.logical_and.reduce(m[0] == m[:, 0])
+            and np.logical_and.reduce(m == m.T, axis=None)
+            and np.isfinite(np.add.reduce(m, axis=None))):
         return True
     return bool(_within(m - m.T, EXACT_TOL, m).all())
 
@@ -103,9 +112,9 @@ class WeightedDigraph:
     and per partition the cell profiles and partition order of a
     `validate_starlike` that passed. A check runs once per graph, so
     validate-then-`lq_switch` checks once; a check that fails is not
-    remembered and fails the same way again. A switch of a graph recorded as
-    symmetric is born recorded as symmetric. A copy or pickle starts with
-    nothing remembered.
+    remembered and fails the same way again. An `lq_switch` result, the
+    switch of symmetric weights, is born recorded as symmetric. A copy or
+    pickle starts with nothing remembered.
     """
 
     # _facts: results of passed checks and sums, keyed by "symmetric",
@@ -418,7 +427,7 @@ def cospectral(a: np.ndarray, b: np.ndarray, tol: float = NUMERIC_TOL) -> bool:
     # the extremes of a and b give max |entry| without a temporary matrix
     hi = max(np.maximum.reduce(x, axis=None, initial=0.0) for x in (a, b))
     lo = min(np.minimum.reduce(x, axis=None, initial=0.0) for x in (a, b))
-    return bool(spectral_gap(a, b, tol) <= tol * (1.0 + max(hi, -lo)))
+    return bool(spectral_gap(a, b, tol) <= _bound(tol, max(hi, -lo)))
 
 
 def _vertex_signature(a: np.ndarray, v: int) -> tuple:

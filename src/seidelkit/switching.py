@@ -53,7 +53,7 @@ from .errors import (
     VerificationFailed,
     raise_first,
 )
-from .graph import EXACT_TOL, WeightedDigraph, _within, adjacency_matrix
+from .graph import EXACT_TOL, WeightedDigraph, _bound, _within, adjacency_matrix
 
 
 @dataclass(frozen=True)
@@ -294,7 +294,7 @@ class _Partitioned:
         # with the keep mask, plus 0.0 for the -0.0 that a negative residue
         # leaves; the diagonal blocks, cell interiors and D x D, are copied
         # from A afterwards
-        np.multiply(q, np.abs(q, out=result) > EXACT_TOL * (1.0 + top), out=q)
+        np.multiply(q, np.abs(q, out=result) > _bound(EXACT_TOL, top), out=q)
         q += 0.0
         result[perm] = q
         inside = np.ravel_multi_index(lay.blocks()[:2], result.shape)
@@ -333,7 +333,7 @@ def _checked(g: WeightedDigraph, part: SeidelPartition) -> tuple[_Layout, Simple
     sums = np.add.reduceat(np.concatenate((np.abs(entries), entries)), segments).reshape(4, n)
     extremes = np.maximum.reduceat(np.concatenate((sums, -sums)), starts, axis=1)
     hi, neg_lo = extremes.reshape(2, 4, -1)
-    irregular = np.logical_or.reduce(hi + neg_lo > EXACT_TOL * (1.0 + np.maximum(hi, neg_lo)))
+    irregular = np.logical_or.reduce(hi + neg_lo > _bound(EXACT_TOL, np.maximum(hi, neg_lo)))
     raise_first((irregular, lambda i: NotRegularInduced(
         f"induced subgraph on {f'cell {i}' if i < len(part.cells) else 'D'} is not regular")))
     # the hub table; per-cell arrays put cells before hubs, so that raveling
@@ -363,7 +363,7 @@ def _checked(g: WeightedDigraph, part: SeidelPartition) -> tuple[_Layout, Simple
 
     spans = table.kinds[1] & (table.present > 0)  # half-attached, with edges this way
     partial = spans & (table.present < count)
-    uneven = spans & (table.hi - table.lo > EXACT_TOL * (1.0 + np.maximum(table.hi, -table.lo)))
+    uneven = spans & (table.hi - table.lo > _bound(EXACT_TOL, np.maximum(table.hi, -table.lo)))
     checks = [(~np.logical_or.reduce(table.kinds), lambda j: fault(BadAdjacencyCount,
         "hub {v} is adjacent to {count} vertices of cell {i}; allowed counts are {allowed}", 0, j))]
     for k, name in enumerate(("outgoing", "incoming")):
@@ -417,10 +417,7 @@ def switch(g: WeightedDigraph, part: SeidelPartition, verify: bool = False) -> W
     `graph`, which proves cospectrality; meant for tests, not production runs.
     """
     layout = _checked(g, part)[0]
-    # the switch of an exactly symmetric A is exactly symmetric (module docstring)
-    symmetric = g._facts.get("symmetric", False)
-    result = WeightedDigraph._of(_Partitioned(adjacency_matrix(g), layout, symmetric).conjugated(),
-                                 symmetric=symmetric)
+    result = WeightedDigraph._of(_Partitioned(adjacency_matrix(g), layout).conjugated())
     if verify:
         _verify_switch(adjacency_matrix(g), adjacency_matrix(result), part)
     return result

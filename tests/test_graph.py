@@ -232,6 +232,29 @@ class TestSpectrum:
         with pytest.raises(NotSymmetric):
             spectrum(np.array([[0.0, 1.0], [2.0, 0.0]]))
 
+    @pytest.mark.parametrize("i, j, delta, accepted", [
+        (0, 3, 1e-14, True), (0, 3, 1.0, False),  # row 0 differs from column 0
+        (2, 3, 1e-14, True), (2, 3, 1.0, False),  # row 0 matches column 0
+    ])
+    def test_symmetry_follows_the_tolerance_rule(self, rng, i, j, delta, accepted):
+        # whichever comparison turns an inexact matrix away, the rule decides
+        m = rng.normal(size=(5, 5))
+        m = m + m.T
+        m[i, j] += delta
+        if accepted:
+            assert len(spectrum(m)) == 5
+        else:
+            with pytest.raises(NotSymmetric):
+                spectrum(m)
+
+    @pytest.mark.parametrize("i, j", [(2, 3), (0, 0)])
+    def test_a_nan_entry_is_not_symmetric(self, i, j):
+        # placed symmetrically; NaN != NaN, so no comparison accepts it
+        m = np.eye(4)
+        m[i, j] = m[j, i] = np.nan
+        with pytest.raises(NotSymmetric):
+            spectrum(m)
+
     def test_sum_matches_trace(self, rng):
         for _ in range(20):
             m = rng.normal(size=(6, 6))
