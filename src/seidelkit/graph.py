@@ -88,7 +88,8 @@ def _dense(order: int, rows, cols, weights) -> np.ndarray:
         raise InvalidGraph(f"order must be positive, got {order}")
     rows, cols, weights = (np.asarray(x, dtype=float) for x in (rows, cols, weights))
     pairs = np.stack([rows, cols])
-    vertex_pair = np.all((pairs >= 0) & (pairs < order) & (pairs % 1 == 0), axis=0)
+    # floor, not % 1, which warns on a non-finite endpoint
+    vertex_pair = np.all((pairs >= 0) & (pairs < order) & (pairs == np.floor(pairs)), axis=0)
     raise_first(
         (~vertex_pair, lambda i: InvalidGraph(
             f"edge ({rows[i]:g}, {cols[i]:g}) outside vertex range 0..{order - 1}")),
@@ -168,15 +169,22 @@ class WeightedDigraph:
     def from_edges(cls, order: int, triples: Iterable[tuple[int, int, float]]) -> "WeightedDigraph":
         """Graph of (u, v, weight) triples: a list of them, or an array of
         shape (k, 3) with one triple per row. An empty input has no edges;
-        any other shape raises InvalidGraph."""
+        any other shape, or a row that is not three numbers, raises
+        InvalidGraph."""
         items = triples if isinstance(triples, np.ndarray) else list(triples)
         try:
-            table = np.array(items, dtype=float)
+            table = np.asarray(items, dtype=float)  # a float table is read, not copied
         except ValueError:
             shapes = {np.shape(item) for item in items}
             if len(shapes) > 1:
                 raise InvalidGraph(f"edges must be (u, v, weight) triples, "
                                    f"got rows of shapes {sorted(shapes)}") from None
+            for item in items:  # the first row that holds something other than numbers
+                try:
+                    np.array(item, dtype=float)
+                except ValueError:
+                    raise InvalidGraph(f"edges must be (u, v, weight) triples of numbers, "
+                                       f"got {item!r}") from None
             raise
         if table.shape == (0,):
             table = table.reshape(0, 3)

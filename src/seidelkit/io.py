@@ -6,15 +6,28 @@ A graph document is a JSON object with fields `order` (int), `edges`
 0-based; fixtures carry a `labels` metadata entry mapping to the 1-based
 labels used in figures. Writing is canonical (edges sorted by (u, v), plain
 JSON float formatting), so read-write round trips are byte identical.
+
+Reading has two paths with one outcome. A document that opens with
+`{"order": N, "edges": [` (every writer here writes order first, indented
+or on one line) takes the text path: its edge list is checked as text with
+whole-buffer passes and read by one `np.fromstring` call straight into the
+(k, 3) table `WeightedDigraph.from_edges` takes, and only the rest of the
+document goes through `json.loads`. The text path vouches for exactly this:
+the edge list is k >= 1 triples of JSON numbers with integer endpoints, in
+JSON whitespace, and the rest is a JSON object continuation with no second
+`order` or `edges` key; then the whole text is valid JSON and `json.loads`
+would read the same values. Every other input, and any graph
+`from_edges` rejects, takes the walk: `json.loads` of the whole text, then
+the edge list entry by entry, which names the first bad entry. So every
+error, and its message, is the walk's.
 """
 
 from __future__ import annotations
 
 import json
+import re
 from dataclasses import dataclass, field
 from importlib import resources
-from itertools import chain
-from operator import itemgetter
 from pathlib import Path
 
 import numpy as np
@@ -76,27 +89,12 @@ def _raise_first_bad_entry(items, order: int, source: str) -> None:
 
 
 def _read_graph(items, order: int, source: str) -> WeightedDigraph:
-    """The graph of a document's edge list.
-
-    The list is converted and checked as whole arrays. Only when that fails
-    is it walked entry by entry, to report the first bad entry as a document
-    error; a list that passes the walk fails one of the graph's own checks
-    (a loop of negative weight), which the graph reports.
+    """The graph of a parsed edge list, walked entry by entry: the first bad
+    entry raises a document error; a list that passes the walk fails only the
+    graph's own checks (a loop of negative weight), which the graph reports.
     """
     if not isinstance(items, list):
         raise ParseError(f"{source}: edges must be a list of [u, v, weight] entries")
-    try:
-        if (
-            set(map(type, items)) <= {list}
-            and set(map(len, items)) <= {3}
-            and set(map(type, map(itemgetter(0), items)))
-            | set(map(type, map(itemgetter(1), items))) <= {int}
-            and bool not in set(map(type, map(itemgetter(2), items)))
-        ):
-            table = np.fromiter(chain.from_iterable(items), dtype=float, count=3 * len(items))
-            return WeightedDigraph.from_edges(order, table.reshape(-1, 3))
-    except (TypeError, ValueError, OverflowError, InvalidGraph):
-        pass
     _raise_first_bad_entry(items, order, source)
     return WeightedDigraph.from_edges(order, [tuple(item) for item in items])
 
@@ -111,7 +109,11 @@ def _parse_document(raw: dict, source: str) -> GraphDocument:
         raise ParseError(f"{source}: missing required field {missing}") from None
     if type(order) is not int or order < 1:
         raise ParseError(f"{source}: order must be a positive integer")
-    g = _read_graph(edge_items, order, source)
+    return _document(_read_graph(edge_items, order, source), raw, source)
+
+
+def _document(g: WeightedDigraph, raw: dict, source: str) -> GraphDocument:
+    """The document of a graph and the partition and metadata fields of raw."""
     partition = None
     if raw.get("partition") is not None:
         p = raw["partition"]
@@ -130,12 +132,147 @@ def _parse_document(raw: dict, source: str) -> GraphDocument:
     return GraphDocument(g, partition, metadata)
 
 
-def loads_document(text: str, source: str = "<string>") -> GraphDocument:
+def _loads_walked(text: str, source: str) -> GraphDocument:
+    """The reference reader: `json.loads` of the whole text, then a walk of
+    its edge list. Every input the text path declines comes here."""
     try:
         raw = json.loads(text)
     except json.JSONDecodeError as exc:
         raise ParseError(f"{source}: line {exc.lineno}: {exc.msg}") from None
     return _parse_document(raw, source)
+
+
+# The text path. A document that opens with {"order": N, "edges": [ is split
+# at the last "]" before its first '"': the body in between must be an edge
+# list the guard below vouches for, and the tail after it must be the rest of
+# a JSON object without another "order" or "edges" key. Then the whole text
+# is valid JSON, json.loads would give it the same fields, and the table that
+# np.fromstring reads from the body is the list json.loads would give.
+_SPACE = " \t\n\r"  # JSON whitespace: no other, unlike str.strip and \s
+_HEAD = re.compile(r'\s*\{\s*"order"\s*:\s*([1-9][0-9]{0,8})\s*,\s*"edges"\s*:\s*\['
+                   .replace(r"\s", f"[{_SPACE}]"))
+_E_TO_LOWER = bytes.maketrans(b"E", b"e")
+
+
+def _triples(c: bytes) -> int:
+    """k if the edge-list body c, without whitespace, is k >= 1 triples
+    "[u,v,w]" joined by "," and a "." and then an exponent mark appear only
+    in a weight, at most once each; else 0."""
+    s = c.translate(_E_TO_LOWER, b"0123456789-+")
+    if b"e" in s:
+        s = s.replace(b",.e]", b",]").replace(b",e]", b",]")
+    s = s.replace(b",.]", b",]")
+    k = (len(s) + 1) // 5
+    if not k or s != (b"[,,]," * k)[:-1]:
+        return 0
+    x = np.frombuffer(c, np.uint8)
+    opening, comma, closing = x == ord("["), x == ord(","), x == ord("]")
+    marks = opening | comma | closing
+    # marks touch only in the k - 1 "],[" joints: no slot is empty and no
+    # number stands outside a triple
+    if (np.count_nonzero(marks[:-1] & marks[1:]) != 2 * (k - 1)
+            or np.count_nonzero(closing[:-2] & comma[1:-1] & opening[2:]) != k - 1):
+        return 0
+    return k
+
+
+def _numbers(body: bytes) -> int:
+    """The count of numbers in an edge-list body whose other bytes are
+    brackets, commas and whitespace."""
+    b = np.frombuffer(body, np.uint8)
+    number = ~((b <= ord(" ")) | (b == ord(",")) | ((b | 6) == ord("_")))  # "[" | 6 == "]" | 6
+    return np.count_nonzero(number[1:] & ~number[:-1]) + int(number[0])
+
+
+def _json_numbers(c: bytes) -> bool:
+    """Whether every number between the brackets and commas of c is
+    -?(0|[1-9][0-9]*)(.[0-9]+)?([eE][+-]?[0-9]+)?, given at most one "."
+    and one exponent mark each: checked at each ".", "-", "+", "e" and
+    leading "0" against its neighbours."""
+    x = np.frombuffer(c, np.uint8)
+    digit = (x - ord("0")) < 10  # uint8 arithmetic wraps, so only "0".."9"
+    opens = (x == ord("[")) | (x == ord(","))  # a number starts after one
+    minus, zero = x == ord("-"), x == ord("0")
+    if b"e" in c or b"E" in c:
+        e, plus = (x | 32) == ord("e"), x == ord("+")
+        if (np.any(plus[1:-1] & ~(e[:-2] & digit[2:]))
+                or np.any(e[1:-1] & ~(digit[:-2] & (digit[2:] | plus[2:] | minus[2:])))):
+            return False
+        signed = opens | e  # a "-" follows one
+    elif b"+" in c:
+        return False
+    else:
+        signed = opens
+    return not (np.any((x[1:-1] == ord(".")) & ~(digit[:-2] & digit[2:]))
+                or np.any(minus[1:-1] & ~(signed[:-2] & digit[2:]))
+                or np.any(zero[1:-1] & digit[2:] & opens[:-2])
+                or np.any(opens[:-3] & minus[1:-2] & zero[2:-1] & digit[3:]))
+
+
+def _edge_table(body: bytes) -> np.ndarray | None:
+    """The (k, 3) table of an edge-list body (the text between the outer
+    brackets), or None unless the body is k >= 1 JSON triples [u, v, weight]
+    of numbers with integer endpoints. Whole-buffer checks only, so that
+    np.fromstring reads exactly 3k numbers with Python's float values."""
+    c = body.translate(None, _SPACE.encode())
+    k = _triples(c)
+    # c holds 3k numbers, so the body must too, else whitespace split one
+    if not k or _numbers(body) != 3 * k or not _json_numbers(c):
+        return None
+    try:
+        table = np.fromstring(c.translate(None, b"[]"), sep=",")
+    except ValueError:  # stopped early: the checks above missed a case
+        return None
+    return table.reshape(k, 3) if table.size == 3 * k else None
+
+
+def _text_path(text: str) -> tuple[int, np.ndarray, dict] | None:
+    """(order, edge table, the other top-level fields) of a document the
+    text path vouches for, or None."""
+    head = _HEAD.match(text)
+    if head is None:
+        return None
+    start = head.end()
+    quote = text.find('"', start)
+    end = text.rfind("]", start, None if quote < 0 else quote)
+    if end < 0:
+        return None
+    rest = text[end + 1:].lstrip(_SPACE)
+    if rest[:1] == ",":  # then a key must follow: a trailing comma is no JSON
+        rest = rest[1:]
+        if rest.lstrip(_SPACE)[:1] != '"':
+            return None
+    elif rest[:1] != "}":
+        return None
+    try:
+        fields = json.loads("{" + rest)
+    except (ValueError, RecursionError):  # the walk raises it, or an earlier fault
+        return None
+    if "order" in fields or "edges" in fields:  # json.loads keeps the last value
+        return None
+    try:
+        body = text[start:end].encode("ascii")
+    except UnicodeEncodeError:
+        return None
+    table = _edge_table(body)
+    return None if table is None else (int(head[1]), table, fields)
+
+
+def loads_document(text: str, source: str = "<string>") -> GraphDocument:
+    """Parse a graph document. A document that opens with order and edges,
+    as every writer here writes one, is read by the text path; any other,
+    and any the text path finds a fault in, by `json.loads` and a walk of
+    the edges that names the first bad entry."""
+    read = _text_path(text) if isinstance(text, str) else None
+    if read is not None:
+        order, table, fields = read
+        try:
+            g = WeightedDigraph.from_edges(order, table)
+        except (InvalidGraph, ValueError):  # the walk names the bad entry
+            pass
+        else:
+            return _document(g, fields, source)
+    return _loads_walked(text, source)
 
 
 def read_document(path: str | Path) -> GraphDocument:

@@ -79,6 +79,16 @@ class TestConstruction:
         with pytest.raises(InvalidGraph, match=f"shape {shape}$"):
             WeightedDigraph.from_edges(3, table)
 
+    def test_an_edge_that_is_not_numbers_is_named(self):
+        with pytest.raises(InvalidGraph, match=r"triples of numbers, got \('a', 1, 1\.0\)$"):
+            WeightedDigraph.from_edges(2, [(0, 1, 1.0), ("a", 1, 1.0)])
+
+    @pytest.mark.parametrize("u", [float("inf"), -float("inf"), float("nan")])
+    def test_a_non_finite_endpoint_is_outside_the_range(self, u):
+        # the integer check must not warn on a value that is no number
+        with pytest.raises(InvalidGraph, match="outside vertex range"):
+            WeightedDigraph.from_edges(2, [(u, 0, 1.0)])
+
     def test_a_ragged_edge_list_names_its_shapes(self):
         with pytest.raises(InvalidGraph, match=r"rows of shapes \[\(2,\), \(3,\)\]$"):
             WeightedDigraph.from_edges(3, [(0, 1, 1.0), (1, 0)])

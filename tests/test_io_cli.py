@@ -1,5 +1,8 @@
 """Document format, fixtures and the command-line interface."""
 
+import json
+
+import numpy as np
 import pytest
 from conftest import heavy_cycle_instance
 
@@ -7,14 +10,16 @@ from seidelkit import (
     GraphDocument,
     SeidelPartition,
     WeightedDigraph,
+    adjacency_matrix,
     dumps_document,
     load_fixture,
     read_document,
     validate_seidel,
     write_document,
 )
+from seidelkit import io as skio
 from seidelkit.cli import main
-from seidelkit.errors import InvalidGraph, ParallelEdges, ParseError
+from seidelkit.errors import InvalidGraph, ParallelEdges, ParseError, SeidelKitError
 from seidelkit.io import fixture_names, loads_document
 
 ALL_FIXTURES = [
@@ -135,6 +140,158 @@ class TestDocuments:
     def test_fixture_partitions_validate(self, name):
         doc = load_fixture(name)
         validate_seidel(doc.graph(), doc.partition)
+
+
+@pytest.fixture
+def walks(monkeypatch):
+    """The texts `io._loads_walked` read during the test: every document the
+    text path declined."""
+    texts = []
+
+    def counted(text, source, f=skio._loads_walked):
+        texts.append(text)
+        return f(text, source)
+
+    monkeypatch.setattr(skio, "_loads_walked", counted)
+    return texts
+
+
+def document_outcome(read, text):
+    """The graph, partition and metadata of a document, or the type and
+    message of the domain error reading it raises."""
+    try:
+        doc = read(text, "<string>")
+    except SeidelKitError as e:
+        return type(e), str(e)
+    return adjacency_matrix(doc.graph()).tobytes(), doc.order, doc.partition, doc.metadata
+
+
+def assert_read_as_walked(text):
+    """loads_document reads text as the walk does: same document, or same error."""
+    assert document_outcome(loads_document, text) == document_outcome(skio._loads_walked, text)
+
+
+def small_bench_text(rng, one_line):
+    """A small document shaped like the benchmark's: signed weights on some
+    ordered pairs, a partition, one line (json.dumps) or dumps_document."""
+    order = int(rng.integers(4, 9))
+    pairs = rng.choice(order * order, size=int(rng.integers(1, 12)), replace=False)
+    weights = rng.choice([-3.0, -2.0, -1.0, 1.0, 2.0, 3.0, 0.5, 1e-05, 1e16], size=len(pairs))
+    edges = [[int(p // order), int(p % order), float(w)] for p, w in zip(sorted(pairs), weights)]
+    for edge in edges:
+        if edge[0] == edge[1]:  # loops carry positive weights
+            edge[2] = abs(edge[2])
+    raw = {"order": order, "edges": edges, "partition": {"cells": [[0, 1]], "d": [2]}}
+    if one_line:
+        return json.dumps(raw)
+    g = WeightedDigraph.from_edges(order, edges)
+    return dumps_document(GraphDocument.from_graph(g, SeidelPartition(((0, 1),), (2,))))
+
+
+class TestTextPath:
+    """`loads_document` reads an edge list as text when it can vouch for it;
+    every outcome equals the walk's (`io._loads_walked`)."""
+
+    @pytest.fixture(autouse=True)
+    def checks_before_fromstring(self, monkeypatch):
+        # the text path's own checks find every fault: np.fromstring, which
+        # raises when it stops early, is never the one to find it
+        def strict(*args, f=np.fromstring, **kwargs):
+            try:
+                return f(*args, **kwargs)
+            except ValueError as e:
+                raise AssertionError(f"np.fromstring stopped early: {e}") from None
+
+        monkeypatch.setattr(np, "fromstring", strict)
+
+    @pytest.mark.parametrize("text", [
+        # duplicate top-level keys: json.loads keeps the last value
+        '{"order": 2, "edges": [[0, 1, 1.0]], "edges": []}',
+        '{"order": 2, "edges": [[0, 1, 1.0]], "edges": [[1, 0, 2.0]]}',
+        '{"order": 2, "edges": [[0, 1, 1.0]], "order": 3}',
+        '{"order": 2, "edges": [[1, 1, 1.0]], "order": 1}',
+        # the text of an edge list where no edges are, and edges before order
+        '{"order": 2, "edges": [[0, 1, 1.0]], "metadata": {"note": "\\"edges\\": [[1, 0, 5.0]]"}}',
+        '{"metadata": {"note": "{\\"order\\": 2, \\"edges\\": [["}, "order": 2, "edges": [[0, 1, 1.0]]}',
+        '{"edges": [[0, 1, 1.0]], "order": 2}',
+        # numbers JSON does not have, and numbers where JSON has none
+        '{"order": 2, "edges": [[0, 1, 01]]}',
+        '{"order": 2, "edges": [[0, 1, -01]]}',
+        '{"order": 2, "edges": [[0, 1, +1]]}',
+        '{"order": 2, "edges": [[0, 1, .5]]}',
+        '{"order": 2, "edges": [[0, 1, 5.]]}',
+        '{"order": 2, "edges": [[0, 1, 1e]]}',
+        '{"order": 2, "edges": [[0, 1, 1.5.2]]}',
+        '{"order": 2, "edges": [[0, 1, 1e5.0]]}',
+        '{"order": 2, "edges": [[0, 1, 1 5]]}',
+        '{"order": 2, "edges": [[0, 1, 1.0]] 5}',
+        '{"order": 2, "edges": [[0, 1, 1.0], 5]}',
+        '{"order": 2, "edges": [[0, 1, 1.0]],}',
+        '{"order": 2, "edges": [[0, 1, 1-2]]}',
+        '{"order": 2, "edges": [[0, 1, --1]]}',
+        '{"order": 2, "edges": [[0, 1, -]]}',
+        '{"order": 2, "edges": [[0, 1, 1e+-5]]}',
+        # an empty slot, and a number outside a triple to make up the count
+        '{"order": 2, "edges": [5 [0, , 1.0]]}',
+        '{"order": 2, "edges": [[0, 1, 1.0] 5, [1, , 2.0]]}',
+        '{"order": 2, "edges": [[01, 1, 1.0]]}',
+        # endpoints that are no integers, or no vertex
+        '{"order": 2, "edges": [[0, 1.0, 1.0]]}',
+        '{"order": 2, "edges": [[1e0, 0, 1.0]]}',
+        '{"order": 2, "edges": [[0, 1' + "0" * 400 + ', 1.0]]}',
+        '{"order": 2, "edges": [[-0, 1, 1.0], [0, 1, 2.0]]}',
+        # weights that are no finite nonzero number
+        '{"order": 2, "edges": [[0, 1, 1e400]]}',
+        '{"order": 2, "edges": [[0, 1, -0]]}',
+        '{"order": 2, "edges": [[0, 1, 1e-400]]}',
+        '{"order": 2, "edges": [[0, 1, NaN]]}',
+        '{"order": 2, "edges": [[0, 1, Infinity]]}',
+        '{"order": 2, "edges": [[0, 1, "1.5"], [1, 0, 2.0]]}',
+        '{"order": 2, "edges": [[0, 1, true]]}',
+        '{"order": 2, "edges": [[false, 1, 1.0]]}',
+        '{"order": 2, "edges": [[1, 1, -2.0]]}',
+        # JSON whitespace of every kind
+        '{\r\n\t"order": 2,\r\n\t"edges": [\r\n\t\t[0,\t1,\t1.0],\r\n\t\t[1, 0, 2E+1]\r\n\t]\r\n}\r\n',
+        '{"order": 2, "edges": []}',
+    ])
+    def test_the_text_path_reads_as_the_walk(self, text):
+        assert_read_as_walked(text)
+
+    def test_mutated_documents_read_as_the_walk(self, walks):
+        # one character inserted, deleted or replaced; run with warnings as
+        # errors, since np.fromstring warns or raises when it stops early
+        rng = np.random.default_rng(12)
+        alphabet = list('0123456789-+.eE[],: \n\t"{}aN')
+        failed = by_text = 0
+        for i in range(300):
+            text = small_bench_text(rng, one_line=i % 2 == 0)
+            pos, ch = int(rng.integers(len(text))), str(rng.choice(alphabet))
+            kind = i % 3  # 0 inserts, 1 deletes, 2 replaces
+            text = text[:pos] + ("" if kind == 1 else ch) + text[pos + (kind > 0):]
+            walked = len(walks)
+            read = document_outcome(loads_document, text)
+            by_text += len(walks) == walked
+            expected = document_outcome(skio._loads_walked, text)
+            assert read == expected
+            failed += isinstance(expected[0], type)
+        assert failed > 150 and by_text > 60  # 213 and 94 of 300
+
+    def test_both_layouts_take_the_text_path(self, walks):
+        g, part = heavy_cycle_instance()
+        indented = dumps_document(GraphDocument.from_graph(g, part, {"note": "x"}))
+        one_line = json.dumps(json.loads(indented))
+        assert "\n" not in one_line
+        assert loads_document(indented) == loads_document(one_line)
+        assert walks == []
+
+    def test_repr_floats_round_trip_on_the_text_path(self, walks):
+        g = WeightedDigraph.from_edges(3, [(0, 1, 1e16), (1, 0, 1e-05), (0, 0, 5e-324),
+                                           (1, 2, -0.5)])
+        text = dumps_document(GraphDocument.from_graph(g))
+        assert "1e+16" in text and "1e-05" in text and "5e-324" in text
+        assert dumps_document(loads_document(text)) == text
+        assert loads_document(text).graph() == g
+        assert walks == []
 
 
 def fixture_file(name, tmp_path):
