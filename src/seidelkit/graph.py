@@ -19,6 +19,7 @@ cut at 1e-9 * s_max) and is every `tol` default.
 
 from __future__ import annotations
 
+import math
 import os
 import threading
 from collections import Counter
@@ -86,6 +87,8 @@ def _dense(order: int, rows, cols, weights) -> np.ndarray:
     """Adjacency matrix of parallel edge arrays, after checking their pairs and zeros."""
     if order < 1:
         raise InvalidGraph(f"order must be positive, got {order}")
+    if order > math.isqrt(np.iinfo(np.intp).max // 8):  # numpy's bound on its bytes
+        raise InvalidGraph(f"order {order} is too large for an order x order matrix")
     rows, cols, weights = (np.asarray(x, dtype=float) for x in (rows, cols, weights))
     pairs = np.stack([rows, cols])
     # floor, not % 1, which warns on a non-finite endpoint

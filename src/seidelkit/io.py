@@ -9,17 +9,20 @@ JSON float formatting), so read-write round trips are byte identical.
 
 Reading has two paths with one outcome. A document that opens with
 `{"order": N, "edges": [` (every writer here writes order first, indented
-or on one line) takes the text path: its edge list is checked as text with
-whole-buffer passes and read by one `np.fromstring` call straight into the
-(k, 3) table `WeightedDigraph.from_edges` takes, and only the rest of the
-document goes through `json.loads`. The text path vouches for exactly this:
-the edge list is k >= 1 triples of JSON numbers with integer endpoints, in
-JSON whitespace, and the rest is a JSON object continuation with no second
-`order` or `edges` key; then the whole text is valid JSON and `json.loads`
-would read the same values. Every other input, and any graph
-`from_edges` rejects, takes the walk: `json.loads` of the whole text, then
-the edge list entry by entry, which names the first bad entry. So every
-error, and its message, is the walk's.
+or on one line) takes the text path. One structure check on the bytes of
+its edge list makes sure that the brackets and commas form k >= 1 triples,
+with a `.` or exponent only in a weight and no number outside a triple.
+Then `json.loads` reads the list with its brackets blanked: a flat list of
+3k JSON numbers, no list per edge, that becomes the (k, 3) table
+`WeightedDigraph.from_edges` takes. The rest of the document is its own
+`json.loads`. The text path vouches for exactly this: the edge list is
+k >= 1 triples of JSON numbers with integer endpoints, in JSON whitespace,
+and the rest is a JSON object continuation with no second `order` or
+`edges` key; then the whole text is valid JSON and `json.loads` would read
+the same values. Every other input, and any graph `from_edges` rejects,
+takes the walk: `json.loads` of the whole text, then the edge list entry
+by entry, which names the first bad entry. So every error, and its message,
+is the walk's.
 """
 
 from __future__ import annotations
@@ -144,86 +147,40 @@ def _loads_walked(text: str, source: str) -> GraphDocument:
 
 # The text path. A document that opens with {"order": N, "edges": [ is split
 # at the last "]" before its first '"': the body in between must be an edge
-# list the guard below vouches for, and the tail after it must be the rest of
-# a JSON object without another "order" or "edges" key. Then the whole text
-# is valid JSON, json.loads would give it the same fields, and the table that
-# np.fromstring reads from the body is the list json.loads would give.
+# list _edge_table vouches for, and the tail after it must be the rest of a
+# JSON object without another "order" or "edges" key. Then the whole text is
+# valid JSON, json.loads would give it the same fields, and the table read
+# from the body holds the numbers json.loads would give its edge list.
 _SPACE = " \t\n\r"  # JSON whitespace: no other, unlike str.strip and \s
 _HEAD = re.compile(r'\s*\{\s*"order"\s*:\s*([1-9][0-9]{0,8})\s*,\s*"edges"\s*:\s*\['
                    .replace(r"\s", f"[{_SPACE}]"))
 _E_TO_LOWER = bytes.maketrans(b"E", b"e")
-
-
-def _triples(c: bytes) -> int:
-    """k if the edge-list body c, without whitespace, is k >= 1 triples
-    "[u,v,w]" joined by "," and a "." and then an exponent mark appear only
-    in a weight, at most once each; else 0."""
-    s = c.translate(_E_TO_LOWER, b"0123456789-+")
-    if b"e" in s:
-        s = s.replace(b",.e]", b",]").replace(b",e]", b",]")
-    s = s.replace(b",.]", b",]")
-    k = (len(s) + 1) // 5
-    if not k or s != (b"[,,]," * k)[:-1]:
-        return 0
-    x = np.frombuffer(c, np.uint8)
-    opening, comma, closing = x == ord("["), x == ord(","), x == ord("]")
-    marks = opening | comma | closing
-    # marks touch only in the k - 1 "],[" joints: no slot is empty and no
-    # number stands outside a triple
-    if (np.count_nonzero(marks[:-1] & marks[1:]) != 2 * (k - 1)
-            or np.count_nonzero(closing[:-2] & comma[1:-1] & opening[2:]) != k - 1):
-        return 0
-    return k
-
-
-def _numbers(body: bytes) -> int:
-    """The count of numbers in an edge-list body whose other bytes are
-    brackets, commas and whitespace."""
-    b = np.frombuffer(body, np.uint8)
-    number = ~((b <= ord(" ")) | (b == ord(",")) | ((b | 6) == ord("_")))  # "[" | 6 == "]" | 6
-    return np.count_nonzero(number[1:] & ~number[:-1]) + int(number[0])
-
-
-def _json_numbers(c: bytes) -> bool:
-    """Whether every number between the brackets and commas of c is
-    -?(0|[1-9][0-9]*)(.[0-9]+)?([eE][+-]?[0-9]+)?, given at most one "."
-    and one exponent mark each: checked at each ".", "-", "+", "e" and
-    leading "0" against its neighbours."""
-    x = np.frombuffer(c, np.uint8)
-    digit = (x - ord("0")) < 10  # uint8 arithmetic wraps, so only "0".."9"
-    opens = (x == ord("[")) | (x == ord(","))  # a number starts after one
-    minus, zero = x == ord("-"), x == ord("0")
-    if b"e" in c or b"E" in c:
-        e, plus = (x | 32) == ord("e"), x == ord("+")
-        if (np.any(plus[1:-1] & ~(e[:-2] & digit[2:]))
-                or np.any(e[1:-1] & ~(digit[:-2] & (digit[2:] | plus[2:] | minus[2:])))):
-            return False
-        signed = opens | e  # a "-" follows one
-    elif b"+" in c:
-        return False
-    else:
-        signed = opens
-    return not (np.any((x[1:-1] == ord(".")) & ~(digit[:-2] & digit[2:]))
-                or np.any(minus[1:-1] & ~(signed[:-2] & digit[2:]))
-                or np.any(zero[1:-1] & digit[2:] & opens[:-2])
-                or np.any(opens[:-3] & minus[1:-2] & zero[2:-1] & digit[3:]))
+_FLAT = bytes.maketrans(b"[]", b"  ")
 
 
 def _edge_table(body: bytes) -> np.ndarray | None:
     """The (k, 3) table of an edge-list body (the text between the outer
     brackets), or None unless the body is k >= 1 JSON triples [u, v, weight]
-    of numbers with integer endpoints. Whole-buffer checks only, so that
-    np.fromstring reads exactly 3k numbers with Python's float values."""
+    of numbers with integer endpoints. One check of its brackets and commas,
+    then one json.loads of its numbers as a flat list: no list per edge."""
     c = body.translate(None, _SPACE.encode())
-    k = _triples(c)
-    # c holds 3k numbers, so the body must too, else whitespace split one
-    if not k or _numbers(body) != 3 * k or not _json_numbers(c):
+    # the marks of c, where a "." and then an exponent mark stand only in a
+    # weight, at most once each, so endpoints are integers
+    s = c.translate(_E_TO_LOWER, b"0123456789-+")
+    s = s.replace(b",.e]", b",]").replace(b",e]", b",]").replace(b",.]", b",]")
+    k = (len(s) + 1) // 5
+    # marks in triple order, k >= 1 as c opens with "["; bare ends and joints
+    # leave no number outside a triple
+    if (s != (b"[,,]," * k)[:-1] or c[:1] != b"[" or c[-1:] != b"]"
+            or c.count(b"],[") != k - 1):
         return None
+    # 3k slots, each exactly one JSON number, or json.loads fails; letters
+    # failed above, so no NaN or Infinity comes here
     try:
-        table = np.fromstring(c.translate(None, b"[]"), sep=",")
-    except ValueError:  # stopped early: the checks above missed a case
+        table = np.array(json.loads(b"[" + body.translate(_FLAT) + b"]"), dtype=float)
+    except (ValueError, OverflowError):  # no JSON number, or an integer beyond any float
         return None
-    return table.reshape(k, 3) if table.size == 3 * k else None
+    return table.reshape(k, 3) if table.shape == (3 * k,) else None
 
 
 def _text_path(text: str) -> tuple[int, np.ndarray, dict] | None:

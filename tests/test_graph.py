@@ -93,6 +93,12 @@ class TestConstruction:
         with pytest.raises(InvalidGraph, match=r"rows of shapes \[\(2,\), \(3,\)\]$"):
             WeightedDigraph.from_edges(3, [(0, 1, 1.0), (1, 0)])
 
+    @pytest.mark.parametrize("order", [10**30, 2**30])
+    def test_an_order_numpy_cannot_hold_is_named(self, order):
+        # numpy raised its own ValueError, or OverflowError for longer orders
+        with pytest.raises(InvalidGraph, match=f"^order {order} is too large"):
+            WeightedDigraph.from_edges(order, [])
+
     @pytest.mark.parametrize("table", [[], (), np.zeros((0, 3))])
     def test_no_edges(self, table):
         assert WeightedDigraph.from_edges(3, table) == WeightedDigraph(3)
