@@ -66,11 +66,9 @@ def _symmetric(m: np.ndarray) -> bool:
     An exactly symmetric finite matrix passes on one comparison; the rule
     runs only when that fails. Row 0 is compared with column 0 first, so
     an asymmetric matrix is almost always sent to the rule without the
-    full comparison. A finite sum proves every entry finite, and an entry
-    that is not fails the rule, as it always did."""
+    full comparison. A non-finite entry fails the rule, as it always did."""
     if (len(m) and np.logical_and.reduce(m[0] == m[:, 0])
-            and np.logical_and.reduce(m == m.T, axis=None)
-            and np.isfinite(np.add.reduce(m, axis=None))):
+            and np.logical_and.reduce(m == m.T, axis=None) and np.isfinite(m).all()):
         return True
     return bool(_within(m - m.T, EXACT_TOL, m).all())
 
@@ -111,37 +109,37 @@ class WeightedDigraph:
     zero (no edge and weight zero are the same thing), loop weights are
     strictly positive, and every weight is finite.
 
-    Since the graph never changes, it remembers what its checks found: whether
-    its weights are symmetric, its degrees once a Laplacian has summed them,
-    and per partition the cell profiles and partition order of a
-    `validate_starlike` that passed. A check runs once per graph, so
-    validate-then-`lq_switch` checks once; a check that fails is not
-    remembered and fails the same way again. An `lq_switch` result, the
-    switch of symmetric weights, is born recorded as symmetric. A copy or
-    pickle starts with nothing remembered.
+    Whether the weights are symmetric is decided when the graph is built,
+    by one exact scan, or handed over by the switch that built it (see
+    `switching`). Since the graph never changes, it also remembers, per
+    partition, the cell profiles and partition order of a
+    `validate_starlike` that passed, so validate-then-`lq_switch` checks
+    once; a check that fails is not remembered and fails the same way
+    again. A copy or pickle is a new graph: it scans its weights and
+    remembers no check.
     """
 
-    # _facts: results of passed checks and sums, keyed by "symmetric",
-    # "degrees" and ("starlike", partition); O(n) arrays at most, never n x n
-    __slots__ = ("order", "_adjacency", "_edges", "_facts")
+    # _facts: passed starlike checks, keyed by ("starlike", partition); O(n)
+    # arrays at most, never n x n
+    __slots__ = ("order", "_adjacency", "_symmetric", "_edges", "_facts")
 
     def __init__(self, order: int, edges: Mapping[tuple[int, int], float] | None = None):
         edges = edges or {}
         pairs = np.array(list(edges), dtype=float).reshape(-1, 2).T
         self._adopt(_dense(order, *pairs, np.fromiter(edges.values(), float, len(edges))))
 
-    def _adopt(self, a: np.ndarray) -> None:
-        checks = [(a.diagonal() < 0, lambda v: InvalidGraph(
-            f"loop at {v} must have positive weight, got {a[v, v]}"))]
-        # a finite sum proves every weight finite; only a sum that overflows
-        # or meets a non-finite weight pays for the row-by-row scan
-        if not np.isfinite(np.add.reduce(a, axis=None)):
-            checks.insert(0, (~np.isfinite(a).all(axis=1), lambda v: InvalidGraph(
-                f"vertex {v} has an edge of non-finite weight")))
-        raise_first(*checks)
+    def _adopt(self, a: np.ndarray, symmetric: bool | None = None) -> None:
+        raise_first(
+            (~np.isfinite(a).all(axis=1), lambda v: InvalidGraph(
+                f"vertex {v} has an edge of non-finite weight")),
+            (a.diagonal() < 0, lambda v: InvalidGraph(
+                f"loop at {v} must have positive weight, got {a[v, v]}")),
+        )
         a.flags.writeable = False
-        for name, value in (("order", len(a)), ("_adjacency", a), ("_edges", None),
-                            ("_facts", {})):
+        if symmetric is None:
+            symmetric = bool(np.array_equal(a, a.T))
+        for name, value in (("order", len(a)), ("_adjacency", a), ("_symmetric", symmetric),
+                            ("_edges", None), ("_facts", {})):
             object.__setattr__(self, name, value)
 
     def __setattr__(self, name, value):
@@ -151,13 +149,11 @@ class WeightedDigraph:
         return (WeightedDigraph.from_adjacency, (self._adjacency,))
 
     @classmethod
-    def _of(cls, a: np.ndarray, symmetric: bool = False) -> "WeightedDigraph":
+    def _of(cls, a: np.ndarray, symmetric: bool | None = None) -> "WeightedDigraph":
         """Graph that takes over a new square float matrix, without a copy;
-        symmetric=True records that a is exactly symmetric."""
+        symmetric=None scans it for its symmetry, True or False is the answer."""
         g = cls.__new__(cls)
-        g._adopt(a)
-        if symmetric:
-            g._facts["symmetric"] = True
+        g._adopt(a, symmetric)
         return g
 
     @classmethod
@@ -177,15 +173,15 @@ class WeightedDigraph:
         items = triples if isinstance(triples, np.ndarray) else list(triples)
         try:
             table = np.asarray(items, dtype=float)  # a float table is read, not copied
-        except ValueError:
-            shapes = {np.shape(item) for item in items}
+        except (TypeError, ValueError):
+            shapes = {np.array(item, dtype=object).shape for item in items}  # ragged rows too
             if len(shapes) > 1:
                 raise InvalidGraph(f"edges must be (u, v, weight) triples, "
                                    f"got rows of shapes {sorted(shapes)}") from None
             for item in items:  # the first row that holds something other than numbers
                 try:
                     np.array(item, dtype=float)
-                except ValueError:
+                except (TypeError, ValueError):
                     raise InvalidGraph(f"edges must be (u, v, weight) triples of numbers, "
                                        f"got {item!r}") from None
             raise
@@ -223,11 +219,9 @@ class WeightedDigraph:
         return self.weight(v, v)
 
     def is_symmetric(self) -> bool:
-        """True when w(u, v) == w(v, u) for every ordered pair; the graph
-        scans its weights once and remembers the answer."""
-        if "symmetric" not in self._facts:
-            self._facts["symmetric"] = bool(np.array_equal(self._adjacency, self._adjacency.T))
-        return self._facts["symmetric"]
+        """True when w(u, v) == w(v, u) for every ordered pair, as decided
+        when the graph was built."""
+        return self._symmetric
 
     def __eq__(self, other):
         if not isinstance(other, WeightedDigraph):
@@ -253,24 +247,19 @@ def degree_matrix(g: WeightedDigraph) -> np.ndarray:
 
 def _with_degrees(g: WeightedDigraph, combine) -> np.ndarray:
     """combine(degree_matrix(g), A), combine being np.subtract or np.add, in
-    one n x n array; off the diagonal combine(0.0, a) is what the dense Deg
-    gives, -0.0 included. The graph records its degrees, which are summed in
-    that array on the first call."""
+    one n x n array, which first holds |A| for the degree sums; off the
+    diagonal combine(0.0, a) is what the dense Deg gives, -0.0 included."""
     _require_symmetric_weights(g)
     a = g._adjacency
-    degrees = g._facts.get("degrees")
-    if degrees is None:
-        m = np.abs(a)
-        degrees = g._facts["degrees"] = np.add.reduce(m, axis=1)  # as m.sum(axis=1)
-        combine(0.0, a, out=m)
-    else:
-        m = combine(0.0, a)
+    m = np.abs(a)
+    degrees = np.add.reduce(m, axis=1)  # as m.sum(axis=1)
+    combine(0.0, a, out=m)
     m.flat[:: a.shape[0] + 1] = combine(degrees, a.diagonal())
     return m
 
 
 def _require_symmetric_weights(g: WeightedDigraph) -> None:
-    if not (g._facts.get("symmetric") or g.is_symmetric()):
+    if not g._symmetric:
         a = g._adjacency
         u, v = np.argwhere(a != a.T)[0]
         raise AsymmetricWeights(f"w({u}, {v}) = {a[u, v]} but w({v}, {u}) = {a[v, u]}")

@@ -142,6 +142,8 @@ def _loads_walked(text: str, source: str) -> GraphDocument:
         raw = json.loads(text)
     except json.JSONDecodeError as exc:
         raise ParseError(f"{source}: line {exc.lineno}: {exc.msg}") from None
+    except ValueError as exc:  # an integer of more digits than int() converts
+        raise ParseError(f"{source}: {exc}") from None
     return _parse_document(raw, source)
 
 

@@ -35,7 +35,7 @@ from .graph import (
     signless_laplacian,
 )
 from .switching import (
-    SeidelPartition, _checked, _in_partition_order, _Layout, _Partitioned, _verify_switch,
+    SeidelPartition, _checked, _in_partition_order, _Layout, _switched, _verify_switch,
 )
 from .switching import validate_seidel  # noqa: F401  kept importable from this module
 
@@ -212,9 +212,9 @@ def lq_switch(
     Without force, the starlike validation runs unless `validate_starlike`
     already passed on g and an equal partition; then the partition order
     recorded with it is used, and A is permuted once, in the switch. G'
-    takes the switched matrix without a copy, and its weights are recorded
-    as symmetric: the switch of a symmetric A is exactly symmetric
-    (`switching`), so no Laplacian of G' scans them again.
+    takes the switched matrix without a copy, and is born symmetric: the
+    switch of a symmetric A is exactly symmetric (`switching`), so G' is
+    never scanned.
     """
     recorded = g._facts.get(("starlike", part))
     if recorded:
@@ -224,9 +224,7 @@ def lq_switch(
     else:
         layout = _starlike(g, part)[1]
     _require_symmetric_weights(g)
-    # the switch of a symmetric A is exactly symmetric (`switching` docstring)
-    result = WeightedDigraph._of(_Partitioned(adjacency_matrix(g), layout, True).conjugated(),
-                                 symmetric=True)
+    result = _switched(g, layout)
     if force or verify:
         _verify_switch(spectral_matrix(g, kind), spectral_matrix(result, kind), part)
     return result

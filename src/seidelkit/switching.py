@@ -185,7 +185,7 @@ def switch_cross_block(a: np.ndarray) -> np.ndarray:
         raise NonConstantRowSum(f"row sums vary: {row_sums}")
     full = np.zeros((m + n, m + n))
     full[:m, m:] = a
-    return _Partitioned(full, _Layout((range(m), range(m, m + n)), ())).conjugated()[:m, m:]
+    return _conjugated(full, _Layout((range(m), range(m, m + n)), ()))[:m, m:]
 
 
 def flip_half_pattern(x: Sequence[float]) -> np.ndarray:
@@ -204,7 +204,7 @@ def flip_half_pattern(x: Sequence[float]) -> np.ndarray:
     n = len(x)
     full = np.zeros((n + 1, n + 1))
     full[n, :n] = x
-    return _Partitioned(full, _Layout((range(n),), (n,))).conjugated()[n, :n]
+    return _conjugated(full, _Layout((range(n),), (n,)))[n, :n]
 
 
 class _Layout:
@@ -212,8 +212,8 @@ class _Layout:
     then D, so that every per-cell quantity of a matrix in this order is one
     `reduceat` over whole rows or columns, from `starts`. It holds O(n)
     index arrays only, so a graph may record it with a check that passed.
-    `cells` and `d` are vertex sequences; a cell of one vertex behaves like
-    a vertex of D, since U_1 = I.
+    `cells` and `d` are vertex sequences that cover 0..n-1; a cell of one
+    vertex behaves like a vertex of D, since U_1 = I.
     """
 
     def __init__(self, cells, d):
@@ -225,7 +225,7 @@ class _Layout:
         part = np.arange(k + 1).repeat(np.concatenate((self.sizes, [len(d)])))  # k for D
         self.cell_of = part[: self.m]  # of each cell position
         self.part_of = np.empty(len(part), dtype=np.intp)  # of each vertex
-        self.part_of.put(self.perm, part, mode="clip")  # meaningless unless the parts cover
+        self.part_of[self.perm] = part
 
     def blocks(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
         """The diagonal blocks of the parts, the cells and then D (if any):
@@ -242,78 +242,63 @@ class _Layout:
         return rows, cols, seg, starts
 
 
-class _Partitioned:
-    """A square matrix, in its own vertex order, and a layout that covers it.
-    `symmetric` says that the matrix is exactly symmetric, so its row sums
-    over a cell are its column sums."""
+def _conjugated(a: np.ndarray, lay: _Layout, symmetric: bool = False) -> np.ndarray:
+    """U A U for a square matrix A and a layout that covers it, in A's own
+    vertex order. `symmetric` says that A is exactly symmetric, so its row
+    sums over a cell are its column sums.
 
-    def __init__(self, a: np.ndarray, layout: _Layout, symmetric: bool = False):
-        self.a, self.layout, self.symmetric = a, layout, symmetric
-
-    def conjugated(self) -> np.ndarray:
-        """U A U, in the matrix's own vertex order.
-
-        Only rows are permuted: the work runs on A with its rows in partition
-        order and its columns in vertex order, which every per-cell row sum
-        reads in partition order, so every entry is computed as in partition
-        order. The result, a second n x n array, first holds the
-        intermediate sums. No other n x n array is made, but for the cell
-        columns of an asymmetric A."""
-        a, lay = self.a, self.layout
-        m, sizes, starts, perm = lay.m, lay.sizes, lay.starts, lay.perm
-        if not m:
-            return a.copy()
-        cells, hubs, cell_of, part_of = perm[:m], perm[m:], lay.cell_of, lay.part_of
-        q = a.take(perm, axis=0)
-        # twice the mean of each row over each cell, and of each column
-        cols2 = 2.0 * np.add.reduceat(q[:m], starts, axis=0) / sizes[:, None]
-        # cross blocks; half[i, j] = 2 S_ij / (m_i n_j), as the module docstring says
-        if self.symmetric:
-            rows2 = cols2.T[perm]
-            row_sums = np.add.reduceat(rows2[:m], starts, axis=0)
-            col_sums = row_sums.T
-        else:
-            rows2 = (2.0 * np.add.reduceat(a.take(cells, axis=1), starts, axis=1) / sizes)[perm]
-            row_sums = np.add.reduceat(rows2[:m], starts, axis=0)
-            col_sums = np.add.reduceat(cols2[:, cells], starts, axis=1)
-        half = (row_sums / sizes[:, None] + col_sums / sizes) / 2.0
-        result = np.empty(q.shape)
-        both = result[:m]
-        # D columns take the values of the last cell here; they are recomputed below
-        (rows2[:m] - half.repeat(sizes, axis=0)).take(part_of, axis=1, out=both, mode="clip")
-        col_part = cols2 - half.take(part_of, axis=1, mode="clip")
-        for s, n, c in zip(starts.tolist(), sizes.tolist(), col_part):
-            both[s : s + n] += c  # no second m x n array
-        # max |entry| of A, before q changes
-        top = max(np.maximum.reduce(q, axis=None), -np.minimum.reduce(q, axis=None), 0.0)
-        hub_columns = q[:m, hubs]
-        q[:m] -= both
-        q[:m, hubs] = cols2[:, hubs][cell_of] - hub_columns
-        q[m:] = rows2[m:].take(part_of, axis=1, mode="clip") - q[m:]
-        # snap rounding residues, as the module docstring says: a product
-        # with the keep mask, plus 0.0 for the -0.0 that a negative residue
-        # leaves; the diagonal blocks, cell interiors and D x D, are copied
-        # from A afterwards
-        np.multiply(q, np.abs(q, out=result) > _bound(EXACT_TOL, top), out=q)
-        q += 0.0
-        result[perm] = q
-        inside = np.ravel_multi_index(lay.blocks()[:2], result.shape)
-        result.put(inside, a.take(inside))
-        return result
+    Only rows are permuted: the work runs on A with its rows in partition
+    order and its columns in vertex order, which every per-cell row sum
+    reads in partition order, so every entry is computed as in partition
+    order. The result, a second n x n array, first holds the intermediate
+    sums. No other n x n array is made, but for the cell columns of an
+    asymmetric A."""
+    m, sizes, starts, perm = lay.m, lay.sizes, lay.starts, lay.perm
+    if not m:
+        return a.copy()
+    cells, hubs, cell_of, part_of = perm[:m], perm[m:], lay.cell_of, lay.part_of
+    q = a.take(perm, axis=0)
+    # twice the mean of each row over each cell, and of each column
+    cols2 = 2.0 * np.add.reduceat(q[:m], starts, axis=0) / sizes[:, None]
+    # cross blocks; half[i, j] = 2 S_ij / (m_i n_j), as the module docstring says
+    if symmetric:
+        rows2 = cols2.T[perm]
+        row_sums = np.add.reduceat(rows2[:m], starts, axis=0)
+        col_sums = row_sums.T
+    else:
+        rows2 = (2.0 * np.add.reduceat(a.take(cells, axis=1), starts, axis=1) / sizes)[perm]
+        row_sums = np.add.reduceat(rows2[:m], starts, axis=0)
+        col_sums = np.add.reduceat(cols2[:, cells], starts, axis=1)
+    half = (row_sums / sizes[:, None] + col_sums / sizes) / 2.0
+    result = np.empty(q.shape)
+    both = result[:m]
+    # D columns take the values of the last cell here; they are recomputed below
+    (rows2[:m] - half.repeat(sizes, axis=0)).take(part_of, axis=1, out=both, mode="clip")
+    col_part = cols2 - half.take(part_of, axis=1, mode="clip")
+    for s, n, c in zip(starts.tolist(), sizes.tolist(), col_part):
+        both[s : s + n] += c  # no second m x n array
+    # max |entry| of A, before q changes
+    top = max(np.maximum.reduce(q, axis=None), -np.minimum.reduce(q, axis=None), 0.0)
+    hub_columns = q[:m, hubs]
+    q[:m] -= both
+    q[:m, hubs] = cols2[:, hubs][cell_of] - hub_columns
+    q[m:] = rows2[m:].take(part_of, axis=1, mode="clip") - q[m:]
+    # snap rounding residues, as the module docstring says: a product
+    # with the keep mask, plus 0.0 for the -0.0 that a negative residue
+    # leaves; the diagonal blocks, cell interiors and D x D, are copied
+    # from A afterwards
+    np.multiply(q, np.abs(q, out=result) > _bound(EXACT_TOL, top), out=q)
+    q += 0.0
+    result[perm] = q
+    inside = np.ravel_multi_index(lay.blocks()[:2], result.shape)
+    result.put(inside, a.take(inside))
+    return result
 
 
 def _in_partition_order(g: WeightedDigraph, part: SeidelPartition) -> _Layout:
     """The layout of `part`, which must cover g."""
-    n = g.order
-    try:
-        layout = _Layout(part.cells, part.d_cell)
-    except OverflowError:  # a vertex beyond any index covers nothing
-        part.check_cover(n)
-    # the parts are disjoint, so n vertices in 0..n-1 cover them; a negative
-    # vertex wraps to a large unsigned one
-    if len(layout.perm) != n or not np.logical_and.reduce(layout.perm.view(np.uintp) < n):
-        part.check_cover(n)
-    return layout
+    part.check_cover(g.order)
+    return _Layout(part.cells, part.d_cell)
 
 
 def _checked(g: WeightedDigraph, part: SeidelPartition) -> tuple[_Layout, SimpleNamespace]:
@@ -408,16 +393,24 @@ def _verify_switch(m: np.ndarray, switched: np.ndarray, part: SeidelPartition) -
             f"switched matrix deviates from U M U by {deviation[i, j]:.3e} at ({i}, {j})")
 
 
+def _switched(g: WeightedDigraph, layout: _Layout) -> WeightedDigraph:
+    """The switch of g, for a layout that covers it. The switch of an exactly
+    symmetric A is exactly symmetric, so a symmetric g hands its symmetry to
+    the result, which is then not scanned; any other result is scanned."""
+    symmetric = g.is_symmetric()
+    return WeightedDigraph._of(_conjugated(g._adjacency, layout, symmetric), symmetric or None)
+
+
 def switch(g: WeightedDigraph, part: SeidelPartition, verify: bool = False) -> WeightedDigraph:
     """Switching transform G -> G^pi; the result is cospectral with G.
 
     Validates the input first; cross blocks between cells may be arbitrary.
-    A symmetric input switches to an exactly symmetric result. verify=True
-    certifies the result against the dense U A U under the tolerance rule of
-    `graph`, which proves cospectrality; meant for tests, not production runs.
+    A symmetric input switches to an exactly symmetric result, which is
+    born known to be symmetric and never scanned. verify=True certifies the
+    result against the dense U A U under the tolerance rule of `graph`,
+    which proves cospectrality; meant for tests, not production runs.
     """
-    layout = _checked(g, part)[0]
-    result = WeightedDigraph._of(_Partitioned(adjacency_matrix(g), layout).conjugated())
+    result = _switched(g, _checked(g, part)[0])
     if verify:
         _verify_switch(adjacency_matrix(g), adjacency_matrix(result), part)
     return result

@@ -79,9 +79,14 @@ class TestConstruction:
         with pytest.raises(InvalidGraph, match=f"shape {shape}$"):
             WeightedDigraph.from_edges(3, table)
 
-    def test_an_edge_that_is_not_numbers_is_named(self):
-        with pytest.raises(InvalidGraph, match=r"triples of numbers, got \('a', 1, 1\.0\)$"):
-            WeightedDigraph.from_edges(2, [(0, 1, 1.0), ("a", 1, 1.0)])
+    @pytest.mark.parametrize("row, named", [
+        (("a", 1, 1.0), r"\('a', 1, 1\.0\)"),
+        ((0, 1, [1]), r"\(0, 1, \[1\]\)"),  # numpy's ValueError from np.shape leaked
+        ((0, 1, object()), r"\(0, 1, <object object at 0x[0-9a-f]+>\)"),  # and its TypeError
+    ])
+    def test_an_edge_that_is_not_numbers_is_named(self, row, named):
+        with pytest.raises(InvalidGraph, match=f"triples of numbers, got {named}$"):
+            WeightedDigraph.from_edges(2, [(0, 1, 1.0), row])
 
     @pytest.mark.parametrize("u", [float("inf"), -float("inf"), float("nan")])
     def test_a_non_finite_endpoint_is_outside_the_range(self, u):
@@ -133,6 +138,22 @@ class TestConstruction:
             assert h == g
             lq_switch(h, part, SpectralKind.LAPLACIAN)
         assert len(seidel_checks) == 1 + len(copies)
+
+    def test_symmetry_is_the_exact_comparison(self, rng):
+        # decided at birth, by a scan or handed over by a switch
+        graphs = [K2, WeightedDigraph(2, {(0, 1): 1.0}),
+                  WeightedDigraph.from_edges(2, [(0, 1, 1.0), (1, 0, 1.0 + 2**-52)])]
+        for draw in range(40):
+            g, part = (random_starlike_instance if draw % 2 else random_seidel_instance)(rng)
+            a = adjacency_matrix(g)
+            graphs += [g, WeightedDigraph.from_adjacency(a / 3), switch(g, part)]
+            if draw % 2:
+                graphs.append(lq_switch(g, part, SpectralKind.SIGNLESS))
+        for g in graphs:
+            for h in (g, pickle.loads(pickle.dumps(g)), copy.deepcopy(g)):
+                a = adjacency_matrix(h)
+                assert h.is_symmetric() == bool(np.array_equal(a, a.T))
+        assert 0 < sum(g.is_symmetric() for g in graphs) < len(graphs)
 
     def test_edge_view_matches_adjacency(self, rng):
         for _ in range(10):
@@ -188,15 +209,15 @@ class TestLaplacians:
 
     def test_an_lq_op_scans_each_graph_once(self, monkeypatch):
         # validate_starlike, lq_switch, both spectral matrices and both
-        # densities need symmetric weights; g is scanned once, and its
-        # switch is built with its symmetry recorded
+        # densities need symmetric weights; g is scanned once, at birth, and
+        # its switch is born with its symmetry handed over
         scanned = []
         monkeypatch.setattr(np, "array_equal",
                             lambda a, b, f=np.array_equal: scanned.append(a) or f(a, b))
         doc = load_fixture("fig4_left")
         for kind in SpectralKind:
-            g, part = fresh(doc.graph()), doc.partition
             scanned.clear()
+            g, part = fresh(doc.graph()), doc.partition
             validate_starlike(g, part)
             g2 = lq_switch(g, part, kind)
             cospectral(spectral_matrix(g, kind), spectral_matrix(g2, kind))
@@ -205,11 +226,11 @@ class TestLaplacians:
             assert [id(a) for a in scanned] == [id(adjacency_matrix(g))]
 
     def test_laplacians_are_degrees_minus_and_plus_adjacency(self, rng):
-        # one n x n array and recorded degrees, against the dense formula
+        # one n x n array, against the dense formula
         for draw in range(40):
             g, _ = random_starlike_instance(rng) if draw % 2 else random_seidel_instance(rng)
             g = WeightedDigraph.from_adjacency(adjacency_matrix(g) + adjacency_matrix(g).T)
-            for _ in range(2):  # the second call reads the recorded degrees
+            for _ in range(2):  # a second call gives the same matrix
                 assert np.array_equal(laplacian(g), degree_matrix(g) - adjacency_matrix(g))
                 assert np.array_equal(signless_laplacian(g), degree_matrix(g) + adjacency_matrix(g))
 
@@ -270,6 +291,12 @@ class TestSpectrum:
         m[i, j] = m[j, i] = np.nan
         with pytest.raises(NotSymmetric):
             spectrum(m)
+
+    def test_finite_entries_that_sum_past_the_float_range(self):
+        # finiteness is read entry by entry; a sum of the entries overflowed
+        m = np.diag([1.5e308, 1.5e308])
+        assert np.array_equal(spectrum(m), [1.5e308, 1.5e308])
+        assert cospectral(m, m)
 
     def test_sum_matches_trace(self, rng):
         for _ in range(20):

@@ -127,6 +127,27 @@ class TestDocuments:
         assert main(["validate", str(path)]) == 1
         assert capsys.readouterr().err.startswith(f"error: InvalidGraph: order {order} ")
 
+    @pytest.mark.parametrize("fields", [
+        '"order": 2, "edges": [[0, 1, {big}]]',
+        '"order": 2, "edges": [[0, {big}, 1.0]]',
+        '"order": {big}, "edges": [[0, 1, 1.0]]',
+        '"partition": {{"cells": [[0, 1]]}}, "order": 2, "edges": [[0, 1, {big}]]',
+    ], ids=["weight", "endpoint", "order", "partition-first"])
+    def test_an_integer_json_cannot_read_is_a_parse_error(self, fields, tmp_path, capsys):
+        # json.loads raises a bare ValueError beyond int()'s 4,300 digits
+        text = "{" + fields.format(big="9" * 5000) + "}"
+        with pytest.raises(ParseError, match=r"^doc: Exceeds the limit \(4300 digits\)"):
+            loads_document(text, "doc")
+        path = tmp_path / "long.graph"
+        path.write_text(text)
+        assert main(["validate", str(path)]) == 2
+        assert capsys.readouterr().err.startswith(f"error: {path}: Exceeds the limit")
+
+    def test_weights_that_sum_past_the_float_range_load(self):
+        top = 1.7976931348623157e308
+        g = loads_document(f'{{"order": 2, "edges": [[0, 1, {top!r}], [1, 0, {top!r}]]}}').graph()
+        assert g.edges == {(0, 1): top, (1, 0): top} and g.is_symmetric()
+
     def test_a_numeric_string_is_a_weight(self):
         g = loads_document('{"order": 2, "edges": [[0, 1, "1.5"], [1, 0, 2]]}').graph()
         assert g.edges == {(0, 1): 1.5, (1, 0): 2.0}

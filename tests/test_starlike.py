@@ -241,12 +241,16 @@ class TestProject:
 
 
 class TestLqSwitch:
-    def test_the_result_is_recorded_symmetric_and_is(self, symmetry_scans):
+    @pytest.mark.parametrize("switched", [
+        lambda g, part, draw: lq_switch(g, part, KINDS[draw % 2]),
+        lambda g, part, draw: switch(g, part),
+    ], ids=["lq_switch", "switch"])
+    def test_the_result_is_recorded_symmetric_and_is(self, symmetry_scans, switched):
         rng = np.random.default_rng(10)
         for draw in range(300):
             g, part = random_starlike_instance(rng)
             g = WeightedDigraph.from_adjacency(adjacency_matrix(g) * (0.1, 1.0, 1 / 3)[draw % 3])
-            h = lq_switch(g, part, KINDS[draw % 2])
+            h = switched(g, part, draw)
             symmetry_scans.clear()
             b = adjacency_matrix(h)
             assert h.is_symmetric() and bool((b == b.T).all())

@@ -324,6 +324,22 @@ class TestSwitch:
         assert result.weight(4, 0) == 0.0 and result.weight(4, 1) == 0.0
         assert result.weight(2, 4) == 3.0 and result.weight(3, 4) == 3.0
 
+    def test_symmetry_is_settled_at_birth(self, rng, symmetry_scans):
+        # a symmetric input hands its symmetry to its switch, which is not
+        # scanned; the switch of an asymmetric input is scanned once, at birth
+        symmetric = 0
+        for draw in range(200):
+            g, part = random_seidel_instance(rng)
+            if draw % 2:
+                g = WeightedDigraph.from_adjacency(adjacency_matrix(g) + adjacency_matrix(g).T)
+            symmetry_scans.clear()
+            h = switch(g, part)
+            b = adjacency_matrix(h)
+            assert [id(a) for a in symmetry_scans] == ([] if g.is_symmetric() else [id(b)])
+            assert h.is_symmetric() == bool((b == b.T).all()) == g.is_symmetric()
+            symmetric += g.is_symmetric()
+        assert 100 <= symmetric < 200
+
     def test_matches_conjugation(self, rng):
         for _ in range(60):
             g, part = random_seidel_instance(rng)
@@ -402,29 +418,29 @@ class TestSwitch:
         assert asymmetric == 0
 
     def test_verify_rejects_a_wrong_conjugation(self, monkeypatch):
-        conjugated = switching._Partitioned.conjugated
+        conjugated = switching._conjugated
 
-        def corrupted(self):
-            out = conjugated(self)
+        def corrupted(*args):
+            out = conjugated(*args)
             out[0, 1] += 1.0
             return out
 
-        monkeypatch.setattr(switching._Partitioned, "conjugated", corrupted)
+        monkeypatch.setattr(switching, "_conjugated", corrupted)
         g = complete_graph(4)
         with pytest.raises(VerificationFailed, match="U M U"):
             switch(g, SeidelPartition(cells=(tuple(range(4)),)), verify=True)
 
     def test_verify_names_the_worst_entry(self, monkeypatch):
         # the location is in graph vertex order, not partition order
-        conjugated = switching._Partitioned.conjugated
+        conjugated = switching._conjugated
 
-        def corrupted(self):
-            out = conjugated(self)
+        def corrupted(*args):
+            out = conjugated(*args)
             out[0, 1] += 0.5
             out[3, 2] += 1.0
             return out
 
-        monkeypatch.setattr(switching._Partitioned, "conjugated", corrupted)
+        monkeypatch.setattr(switching, "_conjugated", corrupted)
         part = SeidelPartition(cells=((2, 3), (0, 1)))
         with pytest.raises(VerificationFailed, match=r"by 1\.000e\+00 at \(3, 2\)$"):
             switch(complete_graph(4), part, verify=True)
