@@ -19,9 +19,11 @@ cut at 1e-9 * s_max) and is every `tol` default.
 
 from __future__ import annotations
 
+import functools
 import math
 import os
 import threading
+import weakref
 from collections import Counter
 from types import MappingProxyType
 from typing import Iterable, Mapping
@@ -102,6 +104,18 @@ def _dense(order: int, rows, cols, weights) -> np.ndarray:
     return a
 
 
+# matrices tied to a graph's record by `_tie`: id -> (weak reference to the
+# matrix, the graph's _facts, the record's key); an entry goes with its matrix
+_TIED: dict[int, tuple] = {}
+
+
+def _frozen(a: np.ndarray) -> np.ndarray:
+    """A read-only view of a, which is made read-only too: numpy refuses to
+    make a view of a read-only array writable again, so no caller can."""
+    a.flags.writeable = False
+    return a.view()
+
+
 class WeightedDigraph:
     """Immutable weighted digraph with loops.
 
@@ -115,12 +129,15 @@ class WeightedDigraph:
     partition, the cell profiles and partition order of a
     `validate_starlike` that passed, so validate-then-`lq_switch` checks
     once; a check that fails is not remembered and fails the same way
-    again. A copy or pickle is a new graph: it scans its weights and
-    remembers no check.
+    again. It also remembers the first spectrum solved of its Laplacian or
+    signless Laplacian, as `spectral_matrix` returns them, so `cospectral`
+    and `density_from_graph` solve each once. A copy or pickle is a new
+    graph: it scans its weights and remembers no check and no spectrum.
     """
 
-    # _facts: passed starlike checks, keyed by ("starlike", partition); O(n)
-    # arrays at most, never n x n
+    # _facts: passed starlike checks, keyed by ("starlike", partition), and
+    # read-only L/Q spectra, keyed by ("spectrum", kind); O(n) arrays at
+    # most, never n x n
     __slots__ = ("order", "_adjacency", "_symmetric", "_edges", "_facts")
 
     def __init__(self, order: int, edges: Mapping[tuple[int, int], float] | None = None):
@@ -135,7 +152,7 @@ class WeightedDigraph:
             (a.diagonal() < 0, lambda v: InvalidGraph(
                 f"loop at {v} must have positive weight, got {a[v, v]}")),
         )
-        a.flags.writeable = False
+        a = _frozen(a)
         if symmetric is None:
             symmetric = bool(np.array_equal(a, a.T))
         for name, value in (("order", len(a)), ("_adjacency", a), ("_symmetric", symmetric),
@@ -235,7 +252,8 @@ class WeightedDigraph:
 def adjacency_matrix(g: WeightedDigraph) -> np.ndarray:
     """Dense adjacency matrix; entry (i, j) is the weight of i -> j.
 
-    This is the graph's own storage, so it is read-only.
+    This is a view of the graph's own storage, so it is read-only, and
+    numpy refuses to make it writable again.
     """
     return g._adjacency
 
@@ -285,6 +303,30 @@ def spectrum(m: np.ndarray) -> np.ndarray:
     if not _symmetric(m):
         raise NotSymmetric(f"matrix is not symmetric within {EXACT_TOL:g} (1 + max |entry|)")
     return np.linalg.eigvalsh(m)
+
+
+def _tie(m: np.ndarray, g: WeightedDigraph, key) -> np.ndarray:
+    """A read-only view of the new matrix m, tied to g's record `key`: the
+    first `_eigvalsh` of a matrix tied to it is recorded with g, later ones
+    read that record. The tie lasts as long as the view."""
+    m = _frozen(m)
+    # the callback, called with the dead reference, is _TIED.pop(id(m), ref)
+    _TIED[id(m)] = (weakref.ref(m, functools.partial(_TIED.pop, id(m))), g._facts, key)
+    return m
+
+
+def _eigvalsh(m: np.ndarray) -> np.ndarray:
+    """np.linalg.eigvalsh(m). For a matrix of `_tie` it is the spectrum
+    recorded with its graph, solved, made read-only and recorded on the
+    first call; the weak reference makes sure that m itself is the tied
+    matrix, not a later array that reuses its id."""
+    tie = _TIED.get(id(m))
+    if tie is None or tie[0]() is not m:
+        return np.linalg.eigvalsh(m)
+    _, facts, key = tie
+    if key not in facts:
+        facts[key] = _frozen(np.linalg.eigvalsh(m))
+    return facts[key]
 
 
 def _clusters(z: np.ndarray, radius: float) -> np.ndarray:
@@ -372,12 +414,14 @@ def _solve_both(solve, a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.nda
 
 def _spectra(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Spectra of two square matrices of one order, for `_gap`: ascending and
-    real when both are symmetric, else complex and sorted by (real, imag)."""
+    real when both are symmetric, else complex and sorted by (real, imag).
+    A symmetric matrix from `spectral_matrix` is solved once per graph and
+    kind (see `_eigvalsh`)."""
     a, b = _square(a), _square(b)
     if a.shape != b.shape:
         raise OrderMismatch(f"orders differ: {a.shape[0]} vs {b.shape[0]}")
     if _symmetric(a) and _symmetric(b):
-        return _solve_both(np.linalg.eigvalsh, a, b)
+        return _solve_both(_eigvalsh, a, b)
     return _solve_both(lambda m: np.sort_complex(np.linalg.eigvals(m)), a, b)
 
 

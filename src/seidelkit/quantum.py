@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import NotPSD, NotSymmetric, ZeroTrace
-from .graph import EXACT_TOL, NUMERIC_TOL, WeightedDigraph, _square
+from .graph import EXACT_TOL, NUMERIC_TOL, WeightedDigraph, _eigvalsh, _frozen, _square
 from .starlike import SpectralKind, spectral_matrix
 
 
@@ -22,8 +22,9 @@ from .starlike import SpectralKind, spectral_matrix
 class DensityMatrix:
     """Validated quantum state: real symmetric, trace one, PSD.
 
-    `matrix` is a read-only copy of the input, so the spectrum solved once
-    for the PSD check stays valid for `eigenvalues`. Symmetry allows
+    `matrix` is a read-only view of a read-only copy of the input, which
+    numpy refuses to make writable again, so the spectrum solved once for
+    the PSD check stays valid for `eigenvalues`. Symmetry allows
     |m_ij - m_ji| <= EXACT_TOL, the trace |tr - 1| <= EXACT_TOL and the least
     eigenvalue -NUMERIC_TOL; a NaN entry fails the symmetry check, before
     any eigensolver runs.
@@ -33,8 +34,7 @@ class DensityMatrix:
     _spectrum: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
-        m = np.array(_square(self.matrix))
-        m.flags.writeable = False
+        m = _frozen(np.array(_square(self.matrix)))
         object.__setattr__(self, "matrix", m)
         # written so that NaN fails: NaN != NaN, and no comparison with NaN holds
         if not ((m == m.T).all() or np.max(np.abs(m - m.T), initial=0.0) <= EXACT_TOL):
@@ -42,21 +42,21 @@ class DensityMatrix:
         self._solve()
 
     @classmethod
-    def _of_symmetric(cls, m: np.ndarray) -> "DensityMatrix":
+    def _of_symmetric(cls, m: np.ndarray, solve) -> "DensityMatrix":
         """State of a new, exactly symmetric matrix, taken over without a copy;
-        the trace and PSD checks still run."""
-        m.flags.writeable = False
+        the trace check still runs, then the PSD check on solve(), which
+        returns the spectrum of m."""
         rho = cls.__new__(cls)
-        object.__setattr__(rho, "matrix", m)
-        rho._solve()
+        object.__setattr__(rho, "matrix", _frozen(m))
+        rho._solve(solve)
         return rho
 
-    def _solve(self) -> None:
+    def _solve(self, solve=None) -> None:
         m = self.matrix
         trace = float(m.trace())
         if not -EXACT_TOL <= trace - 1.0 <= EXACT_TOL:
             raise ZeroTrace(f"trace must be 1, got {trace}")
-        spectrum = np.linalg.eigvalsh(m)
+        spectrum = np.linalg.eigvalsh(m) if solve is None else solve()
         if not float(spectrum[0]) >= -NUMERIC_TOL:
             raise NotPSD(f"density matrix has an eigenvalue below {-NUMERIC_TOL:g}")
         object.__setattr__(self, "_spectrum", spectrum)
@@ -76,16 +76,17 @@ def density_from_graph(g: WeightedDigraph, kind: SpectralKind) -> DensityMatrix:
     Raises ZeroTrace for an edgeless loopless graph, AsymmetricWeights when
     the Laplacian is undefined, and NotPSD if normalization produced an
     indefinite matrix. The Laplacian exists only for symmetric weights and
-    is then exactly symmetric, so the state is built from it in place: no
-    copy and no symmetry check, only the trace and PSD checks of
-    `DensityMatrix`, which gives the same state.
+    is then exactly symmetric, so the state M / tr M is a new array with no
+    symmetry check. Its spectrum is spectrum(M) / tr M, where spectrum(M) is
+    the one recorded with g by `spectral_matrix`: solved here only if no
+    `cospectral` or earlier state of g and kind solved it. The trace and PSD
+    checks of `DensityMatrix` run as for any state.
     """
     m = spectral_matrix(g, kind)
     trace = float(m.trace())
     if trace <= 0.0:
         raise ZeroTrace("graph has no edges or loops, so the trace is zero")
-    m /= trace
-    return DensityMatrix._of_symmetric(m)
+    return DensityMatrix._of_symmetric(m / trace, lambda: _eigvalsh(m) / trace)
 
 
 def von_neumann_entropy(rho: DensityMatrix) -> float:

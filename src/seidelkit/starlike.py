@@ -31,8 +31,8 @@ from .errors import (
     raise_first,
 )
 from .graph import (
-    NUMERIC_TOL, WeightedDigraph, _require_symmetric_weights, _within, adjacency_matrix, laplacian,
-    signless_laplacian,
+    NUMERIC_TOL, WeightedDigraph, _require_symmetric_weights, _tie, _within, adjacency_matrix,
+    laplacian, signless_laplacian,
 )
 from .switching import (
     SeidelPartition, _checked, _in_partition_order, _Layout, _switched, _verify_switch,
@@ -46,7 +46,17 @@ class SpectralKind(enum.Enum):
 
 
 def spectral_matrix(g: WeightedDigraph, kind: SpectralKind) -> np.ndarray:
-    return laplacian(g) if kind is SpectralKind.LAPLACIAN else signless_laplacian(g)
+    """L(G) or Q(G), as a new read-only matrix tied to (g, kind).
+
+    The matrix cannot be made writable again. Its spectrum is solved at
+    most once per graph and kind: the first solve by `cospectral`,
+    `spectral_gap` or `density_from_graph` of a matrix this returns is
+    recorded with g, and read for every later matrix of g and kind. An
+    array of the caller's own, a copy of this one included, is solved on
+    every call.
+    """
+    m = laplacian(g) if kind is SpectralKind.LAPLACIAN else signless_laplacian(g)
+    return _tie(m, g, ("spectrum", kind))
 
 
 @dataclass(frozen=True)

@@ -129,6 +129,22 @@ class TestConstruction:
         with pytest.raises(TypeError):
             K2.edges[(0, 1)] = 2.0
 
+    @pytest.mark.parametrize("matrix", [
+        lambda g: adjacency_matrix(g),
+        lambda g: spectral_matrix(g, SpectralKind.SIGNLESS),
+        lambda g: density_from_graph(g, SpectralKind.LAPLACIAN).matrix,
+    ], ids=["adjacency", "spectral", "density"])
+    def test_read_only_arrays_cannot_be_made_writable(self, matrix):
+        # a write would leave the graph's recorded symmetry, starlike checks
+        # and spectra stale
+        for g in (K2, pickle.loads(pickle.dumps(K2)), copy.copy(K2), copy.deepcopy(K2)):
+            m = matrix(g)
+            with pytest.raises(ValueError):
+                m.flags.writeable = True
+            with pytest.raises(ValueError):
+                m[0, 0] = 2.0
+            assert g == K2
+
     def test_copies_remember_no_check(self, seidel_checks):
         doc = load_fixture("fig4_left")
         g, part = doc.graph(), doc.partition

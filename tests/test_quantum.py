@@ -1,8 +1,13 @@
 """Graph density matrices, entropy and purity."""
 
+import gc
+import sys
+import threading
+import weakref
+
 import numpy as np
 import pytest
-from conftest import random_seidel_instance, random_starlike_instance
+from conftest import fresh, random_seidel_instance, random_starlike_instance
 
 from seidelkit import (
     DensityMatrix,
@@ -10,14 +15,18 @@ from seidelkit import (
     SpectralKind,
     WeightedDigraph,
     adjacency_matrix,
+    cospectral,
     density_from_graph,
     is_pure,
     load_fixture,
     lq_switch,
+    spectral_gap,
     spectral_matrix,
     switching_matrix,
+    validate_starlike,
     von_neumann_entropy,
 )
+from seidelkit import graph
 from seidelkit.errors import NotPSD, NotSymmetric, ZeroTrace
 
 K2 = WeightedDigraph.from_edges(2, [(0, 1, 1.0), (1, 0, 1.0)])
@@ -44,7 +53,8 @@ class TestDensityFromGraph:
 
     def test_equals_the_validated_state(self, rng):
         # density_from_graph skips the copy and the symmetry check; the state
-        # is the one DensityMatrix builds from the normalized Laplacian
+        # is the one DensityMatrix builds from the normalized Laplacian, and
+        # its spectrum is the Laplacian's, normalized
         for draw in range(40):
             g = (random_starlike_instance if draw % 2 else random_seidel_instance)(rng)[0]
             g = WeightedDigraph.from_adjacency(adjacency_matrix(g) + adjacency_matrix(g).T)
@@ -57,7 +67,9 @@ class TestDensityFromGraph:
                 expected = DensityMatrix(m / np.trace(m))
                 rho = density_from_graph(g, kind)
                 assert rho.matrix.tobytes() == expected.matrix.tobytes()
-                assert rho.eigenvalues().tobytes() == expected.eigenvalues().tobytes()
+                normalized = np.maximum(np.linalg.eigvalsh(m) / np.trace(m), 0.0)
+                assert rho.eigenvalues().tobytes() == normalized.tobytes()
+                assert np.abs(rho.eigenvalues() - expected.eigenvalues()).max() <= 1e-14
                 assert not rho.matrix.flags.writeable
 
     def test_invariants_on_random_graphs(self, rng):
@@ -187,3 +199,126 @@ class TestPurity:
             g, _ = random_starlike_instance(rng)
             rho = density_from_graph(g, SpectralKind.SIGNLESS)
             assert (von_neumann_entropy(rho) < 1e-9) == is_pure(rho)
+
+
+def lq_op(g, part, kind, states_first=False):
+    """The steps of an lq-states benchmark op: check, switch, compare the two
+    spectral matrices and take the entropy of both states, the states
+    first or last; returns the verdict and the two entropies."""
+    validate_starlike(g, part)
+    g2 = lq_switch(g, part, kind)
+
+    def entropies():
+        return [von_neumann_entropy(density_from_graph(h, kind)) for h in (g, g2)]
+
+    s = entropies() if states_first else None
+    verdict = cospectral(spectral_matrix(g, kind), spectral_matrix(g2, kind))
+    return verdict, s or entropies()
+
+
+class TestSpectrumRecord:
+    @pytest.mark.parametrize("concurrent", [False, True])
+    @pytest.mark.parametrize("states_first", [False, True])
+    def test_an_lq_op_solves_each_spectrum_once(self, monkeypatch, eigensolves, concurrent,
+                                                states_first):
+        monkeypatch.setattr(graph, "_concurrent", lambda order: concurrent)
+        doc = load_fixture("fig4_left")
+        for kind in KINDS:
+            eigensolves.clear()
+            verdict, (s, s2) = lq_op(fresh(doc.graph()), doc.partition, kind, states_first)
+            assert verdict and abs(s - s2) < 1e-9
+            assert len(eigensolves) == 2
+
+    def test_recorded_spectra_equal_fresh_solves(self, rng):
+        # graphs are built and dropped, so the ids of their matrices are reused
+        ids = set()
+        for draw in range(1000):
+            g, part = random_starlike_instance(rng)
+            kind = KINDS[draw % 2]
+            verdict, (s, s2) = lq_op(g, part, kind, states_first=draw % 4 > 1)
+            g2 = lq_switch(g, part, kind)
+            m, m2 = spectral_matrix(g, kind), spectral_matrix(g2, kind)
+            ids.add(id(m))
+            own, own2 = (np.array(spectral_matrix(fresh(h), kind)) for h in (g, g2))
+            assert verdict == cospectral(m, m2) == cospectral(own, own2)
+            assert spectral_gap(m, m2) == spectral_gap(own, own2)
+            for h, entropy in ((g, s), (g2, s2)):
+                assert entropy == von_neumann_entropy(density_from_graph(fresh(h), kind))
+        assert len(ids) < 1000
+
+    @pytest.mark.parametrize("writable", [True, False])
+    def test_a_callers_array_is_always_solved(self, eigensolves, writable):
+        g = load_fixture("fig4_left").graph()
+        m = spectral_matrix(g, SpectralKind.LAPLACIAN)
+        assert cospectral(m, m)  # records the spectrum with g
+        own = np.array(m)  # the bytes of the recorded matrix
+        own.flags.writeable = writable
+        eigensolves.clear()
+        assert cospectral(own, m)
+        assert len(eigensolves) == 1 and eigensolves[0] is own
+        own.flags.writeable = True
+        own[0, 0] += 1.0
+        own.flags.writeable = writable
+        expected = np.abs(np.linalg.eigvalsh(np.array(own)) - np.linalg.eigvalsh(np.array(m)))
+        assert spectral_gap(own, m) == expected.max() > 0.0
+
+    def test_records_go_with_their_graph_and_matrices(self):
+        gc.collect()
+        before = len(graph._TIED)
+        kind = SpectralKind.SIGNLESS
+        g = fresh(load_fixture("fig4_left").graph())
+        m = spectral_matrix(g, kind)
+        rho = density_from_graph(g, kind)
+        assert cospectral(m, spectral_matrix(g, kind))
+        recorded = g._facts["spectrum", kind]
+        with pytest.raises(ValueError):
+            recorded.flags.writeable = True
+        # a graph takes no weak reference; its adjacency matrix lives as long
+        refs = [weakref.ref(x) for x in (adjacency_matrix(g), rho, recorded, m)]
+        del g, rho, recorded
+        gc.collect()
+        # the matrix outlives its graph, and its tie holds the record
+        assert [r() is None for r in refs] == [True, True, False, False]
+        assert len(graph._TIED) == before + 1
+        assert cospectral(m, m)
+        del m
+        gc.collect()
+        assert all(r() is None for r in refs)
+        assert len(graph._TIED) == before
+
+    def test_threads_share_records_soundly(self, rng):
+        # matrices tied and dropped on several threads at once, with frequent
+        # switches between them, half of them on graphs all threads share;
+        # every answer is the one a fresh graph gives
+        cases = [random_starlike_instance(rng)[0] for _ in range(8)]
+        expected = [(von_neumann_entropy(density_from_graph(fresh(g), kind)),
+                     np.linalg.eigvalsh(np.array(spectral_matrix(g, kind))).tobytes())
+                    for g in cases for kind in KINDS]
+        gc.collect()
+        before = len(graph._TIED)
+        wrong = []
+
+        def work(shift):
+            for step in range(100):
+                c = (shift + step) % len(expected)
+                g, kind = cases[c // 2], KINDS[c % 2]
+                h = fresh(g) if step % 2 else g
+                m = spectral_matrix(h, kind)
+                got = von_neumann_entropy(density_from_graph(h, kind))
+                if (got, graph._eigvalsh(m).tobytes()) != expected[c]:
+                    wrong.append(c)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            workers = [threading.Thread(target=work, args=(k,)) for k in range(4)]
+            for w in workers:
+                w.start()
+            for w in workers:
+                w.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(w.is_alive() for w in workers)
+        assert wrong == []
+        gc.collect()
+        assert len(graph._TIED) == before
