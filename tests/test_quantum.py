@@ -204,16 +204,17 @@ class TestPurity:
 def lq_op(g, part, kind, states_first=False):
     """The steps of an lq-states benchmark op: check, switch, compare the two
     spectral matrices and take the entropy of both states, the states
-    first or last; returns the verdict and the two entropies."""
+    first or last; returns g', the verdict and the two entropies."""
     validate_starlike(g, part)
     g2 = lq_switch(g, part, kind)
 
     def entropies():
         return [von_neumann_entropy(density_from_graph(h, kind)) for h in (g, g2)]
 
-    s = entropies() if states_first else None
+    if states_first:
+        s = entropies()
     verdict = cospectral(spectral_matrix(g, kind), spectral_matrix(g2, kind))
-    return verdict, s or entropies()
+    return g2, verdict, s if states_first else entropies()
 
 
 class TestSpectrumRecord:
@@ -225,7 +226,7 @@ class TestSpectrumRecord:
         doc = load_fixture("fig4_left")
         for kind in KINDS:
             eigensolves.clear()
-            verdict, (s, s2) = lq_op(fresh(doc.graph()), doc.partition, kind, states_first)
+            _, verdict, (s, s2) = lq_op(fresh(doc.graph()), doc.partition, kind, states_first)
             assert verdict and abs(s - s2) < 1e-9
             assert len(eigensolves) == 2
 
@@ -235,8 +236,7 @@ class TestSpectrumRecord:
         for draw in range(1000):
             g, part = random_starlike_instance(rng)
             kind = KINDS[draw % 2]
-            verdict, (s, s2) = lq_op(g, part, kind, states_first=draw % 4 > 1)
-            g2 = lq_switch(g, part, kind)
+            g2, verdict, (s, s2) = lq_op(g, part, kind, states_first=draw % 4 > 1)
             m, m2 = spectral_matrix(g, kind), spectral_matrix(g2, kind)
             ids.add(id(m))
             own, own2 = (np.array(spectral_matrix(fresh(h), kind)) for h in (g, g2))
