@@ -266,13 +266,19 @@ def degree_matrix(g: WeightedDigraph) -> np.ndarray:
 def _with_degrees(g: WeightedDigraph, combine) -> np.ndarray:
     """combine(degree_matrix(g), A), combine being np.subtract or np.add, in
     one n x n array, which first holds |A| for the degree sums; off the
-    diagonal combine(0.0, a) is what the dense Deg gives, -0.0 included."""
+    diagonal combine(0.0, a) is what the dense Deg gives, -0.0 included.
+    Finite weights may sum past the float range: that vertex is an
+    InvalidGraph, not an overflow warning."""
     _require_symmetric_weights(g)
     a = g._adjacency
     m = np.abs(a)
-    degrees = np.add.reduce(m, axis=1)  # as m.sum(axis=1)
+    with np.errstate(over="ignore"):
+        diagonal = combine(np.add.reduce(m, axis=1), a.diagonal())  # as m.sum(axis=1)
+    finite = np.isfinite(diagonal)
+    if not finite.all():
+        raise InvalidGraph(f"the weights at vertex {int(finite.argmin())} sum past the float range")
     combine(0.0, a, out=m)
-    m.flat[:: a.shape[0] + 1] = combine(degrees, a.diagonal())
+    m.flat[:: a.shape[0] + 1] = diagonal
     return m
 
 

@@ -5,24 +5,25 @@ A graph document is a JSON object with fields `order` (int), `edges`
 ...], "d": [...]}) and optional free-form `metadata`. Vertex indices are
 0-based; fixtures carry a `labels` metadata entry mapping to the 1-based
 labels used in figures. Writing is canonical (edges sorted by (u, v), plain
-JSON float formatting), so read-write round trips are byte identical.
+JSON float formatting), so read-write round trips are byte identical. Edges
+are rendered a block of rows at a time, and the parts joined once at most.
 
 Reading has two paths with one outcome. A document that opens with
 `{"order": N, "edges": [` (every writer here writes order first, indented
 or on one line) takes the text path. One structure check on the bytes of
 its edge list makes sure that the brackets and commas form k >= 1 triples,
 with a `.` or exponent only in a weight and no number outside a triple.
-Then `json.loads` reads the list with its brackets blanked: a flat list of
-3k JSON numbers, no list per edge, that becomes the (k, 3) table
-`WeightedDigraph.from_edges` takes. The rest of the document is its own
-`json.loads`. The text path vouches for exactly this: the edge list is
-k >= 1 triples of JSON numbers with integer endpoints, in JSON whitespace,
-and the rest is a JSON object continuation with no second `order` or
-`edges` key; then the whole text is valid JSON and `json.loads` would read
-the same values. Every other input, and any graph `from_edges` rejects,
-takes the walk: `json.loads` of the whole text, then the edge list entry
-by entry, which names the first bad entry. So every error, and its message,
-is the walk's.
+Then `json.loads` reads the list with its brackets blanked, a slice of
+whole triples at a time: flat lists of JSON numbers, no list per edge, that
+fill the (k, 3) table `WeightedDigraph.from_edges` takes. The rest of the
+document is its own `json.loads`. The text path vouches for exactly this:
+the edge list is k >= 1 triples of JSON numbers with integer endpoints, in
+JSON whitespace, and the rest is a JSON object continuation with no second
+`order` or `edges` key; then the whole text is valid JSON and `json.loads`
+would read the same values. Every other input, and any graph `from_edges`
+rejects, takes the walk: `json.loads` of the whole text, then the edge list
+entry by entry, which names the first bad entry. So every error, and its
+message, is the walk's.
 """
 
 from __future__ import annotations
@@ -158,13 +159,15 @@ _HEAD = re.compile(r'\s*\{\s*"order"\s*:\s*([1-9][0-9]{0,8})\s*,\s*"edges"\s*:\s
                    .replace(r"\s", f"[{_SPACE}]"))
 _E_TO_LOWER = bytes.maketrans(b"E", b"e")
 _FLAT = bytes.maketrans(b"[]", b"  ")
+_READ_SLICE = 1 << 18  # bytes of edge list per json.loads
+_WRITE_BLOCK = 1 << 16  # matrix entries per block of rendered rows
 
 
 def _edge_table(body: bytes) -> np.ndarray | None:
     """The (k, 3) table of an edge-list body (the text between the outer
     brackets), or None unless the body is k >= 1 JSON triples [u, v, weight]
     of numbers with integer endpoints. One check of its brackets and commas,
-    then one json.loads of its numbers as a flat list: no list per edge."""
+    then json.loads of its numbers as flat lists, a slice at a time."""
     c = body.translate(None, _SPACE.encode())
     # the marks of c, where a "." and then an exponent mark stand only in a
     # weight, at most once each, so endpoints are integers
@@ -176,13 +179,21 @@ def _edge_table(body: bytes) -> np.ndarray | None:
     if (s != (b"[,,]," * k)[:-1] or c[:1] != b"[" or c[-1:] != b"]"
             or c.count(b"],[") != k - 1):
         return None
-    # 3k slots, each exactly one JSON number, or json.loads fails; letters
-    # failed above, so no NaN or Infinity comes here
-    try:
-        table = np.array(json.loads(b"[" + body.translate(_FLAT) + b"]"), dtype=float)
-    except (ValueError, OverflowError):  # no JSON number, or an integer beyond any float
-        return None
-    return table.reshape(k, 3) if table.shape == (3 * k,) else None
+    # so every "[" opens a triple and a comma joins two: a slice of about
+    # _READ_SLICE bytes runs from a "[" to the "]" before the next cut
+    table, filled, start = np.empty(3 * k), 0, body.find(b"[")
+    while start >= 0:
+        cut = body.find(b"[", start + _READ_SLICE)
+        stop = len(body) if cut < 0 else body.rindex(b"]", start, cut) + 1
+        # 3k slots, each exactly one JSON number, or json.loads fails; letters
+        # failed above, so no NaN or Infinity comes here
+        try:
+            numbers = json.loads(b"[" + body[start:stop].translate(_FLAT) + b"]")
+            table[filled:filled + len(numbers)] = numbers  # too many fail to broadcast
+        except (ValueError, OverflowError):  # no JSON number, or an integer beyond any float
+            return None
+        filled, start = filled + len(numbers), cut
+    return table.reshape(k, 3) if filled == 3 * k else None
 
 
 def _text_path(text: str) -> tuple[int, np.ndarray, dict] | None:
@@ -239,38 +250,50 @@ def read_document(path: str | Path) -> GraphDocument:
     return loads_document(path.read_text(), source=str(path))
 
 
-def dumps_document(doc: GraphDocument) -> str:
-    """Canonical rendering: edges in (u, v) order, one per line, trailing newline."""
-    lines = ["{", f'  "order": {doc.order},']
-    more = "," if doc.partition is not None or doc.metadata else ""
+def _document_parts(doc: GraphDocument) -> list[str]:
+    """The text of `dumps_document` as strings to join, the edges one per
+    block of about _WRITE_BLOCK matrix entries: one string per vertex and
+    per distinct weight, then a single join. repr is json.dumps on finite
+    floats, and graphs hold no others."""
     a = adjacency_matrix(doc.digraph)
-    rows, cols = np.nonzero(a)  # row-major, so sorted by (u, v)
-    if len(rows):
-        # one string per vertex and per distinct weight, then a single join;
-        # repr is json.dumps on finite floats, and graphs hold no others
-        names = np.array([str(v) for v in range(doc.order)], dtype=object)
-        weights, which = np.unique(a[rows, cols], return_inverse=True)
-        pieces = np.empty((len(rows), 7), dtype=object)
-        pieces[:, 0::2] = ["    [", ", ", ", ", "],\n"]
-        pieces[:, 1], pieces[:, 3] = names[rows], names[cols]
-        pieces[:, 5] = np.array([repr(w) for w in weights.tolist()], dtype=object)[which]
-        lines += ['  "edges": [', "".join(pieces.ravel().tolist())[:-2], "  ]" + more]
-    else:
-        lines.append('  "edges": []' + more)
+    names = np.array([str(v) for v in range(doc.order)], dtype=object)
+    parts = [f'{{\n  "order": {doc.order},\n  "edges": [']
+    step = max(1, _WRITE_BLOCK // doc.order)
+    for top in range(0, doc.order, step):
+        block = a[top:top + step]
+        rows, cols = np.nonzero(block)  # row-major, so sorted by (u, v)
+        if len(rows):
+            weights, which = np.unique(block[rows, cols], return_inverse=True)
+            pieces = np.empty((len(rows), 7), dtype=object)
+            pieces[:, 0::2] = [",\n    [", ", ", ", ", "]"]
+            pieces[:, 1], pieces[:, 3] = names[top + rows], names[cols]
+            pieces[:, 5] = np.array([repr(w) for w in weights.tolist()], dtype=object)[which]
+            parts.append("".join(pieces.ravel().tolist()))
+    if len(parts) > 1:
+        parts[1] = parts[1][1:]  # no comma before the first edge
+    more = "," if doc.partition is not None or doc.metadata else ""
+    parts.append(("\n  ]" if len(parts) > 1 else "]") + more + "\n")
     if doc.partition is not None:
         cells = json.dumps([list(c) for c in doc.partition.cells])
         d = json.dumps(list(doc.partition.d_cell))
-        lines.append(f'  "partition": {{"cells": {cells}, "d": {d}}}'
-                     + ("," if doc.metadata else ""))
+        parts.append(f'  "partition": {{"cells": {cells}, "d": {d}}}'
+                     + ("," if doc.metadata else "") + "\n")
     if doc.metadata:
         meta = json.dumps(doc.metadata, indent=4, sort_keys=True)
-        lines.append(f'  "metadata": {meta.replace(chr(10), chr(10) + "  ")}')
-    lines.append("}")
-    return "\n".join(lines) + "\n"
+        parts.append(f'  "metadata": {meta.replace(chr(10), chr(10) + "  ")}\n')
+    parts.append("}\n")
+    return parts
+
+
+def dumps_document(doc: GraphDocument) -> str:
+    """Canonical rendering: edges in (u, v) order, one per line, trailing newline."""
+    return "".join(_document_parts(doc))
 
 
 def write_document(doc: GraphDocument, path: str | Path) -> None:
-    Path(path).write_text(dumps_document(doc))
+    parts = _document_parts(doc)  # rendered before the file is opened
+    with Path(path).open("w") as f:
+        f.writelines(parts)
 
 
 def fixture_names() -> list[str]:

@@ -61,6 +61,11 @@ class DensityMatrix:
             raise NotPSD(f"density matrix has an eigenvalue below {-NUMERIC_TOL:g}")
         object.__setattr__(self, "_spectrum", spectrum)
 
+    def __reduce__(self):
+        # numpy unpickles and deep-copies an array as a new writable one, so
+        # a copy is rebuilt, frozen and checked as any state is
+        return type(self), (self.matrix,)
+
     @property
     def order(self) -> int:
         return self.matrix.shape[0]

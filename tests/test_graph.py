@@ -6,6 +6,7 @@ import pickle
 import re
 import threading
 import tokenize
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -249,6 +250,22 @@ class TestLaplacians:
             for _ in range(2):  # a second call gives the same matrix
                 assert np.array_equal(laplacian(g), degree_matrix(g) - adjacency_matrix(g))
                 assert np.array_equal(signless_laplacian(g), degree_matrix(g) + adjacency_matrix(g))
+
+    def test_degrees_past_the_float_range_are_an_invalid_graph(self):
+        # finite weights whose degree sum, or degree plus loop, overflows name
+        # the vertex instead of warning
+        path = WeightedDigraph.from_edges(3, [(0, 1, 1e308), (1, 0, 1e308),
+                                              (1, 2, 1e308), (2, 1, 1e308)])
+        loop = WeightedDigraph.from_edges(2, [(1, 1, 1e308)])  # Q(1, 1) = 2e308
+        calls = [(laplacian, path, 1), (signless_laplacian, path, 1),
+                 (signless_laplacian, loop, 1)]
+        calls += [(lambda g, k=kind: density_from_graph(g, k), path, 1) for kind in SpectralKind]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for f, g, v in calls:
+                with pytest.raises(InvalidGraph, match=f"^the weights at vertex {v} sum past"):
+                    f(g)
+            assert laplacian(loop)[1, 1] == 0.0
 
     def test_asymmetry_is_reported_every_time(self):
         g = WeightedDigraph.from_edges(2, [(0, 1, 1.0)])

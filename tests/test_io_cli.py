@@ -1,6 +1,7 @@
 """Document format, fixtures and the command-line interface."""
 
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -220,87 +221,147 @@ def small_bench_text(rng, one_line):
     return dumps_document(GraphDocument.from_graph(g, SeidelPartition(((0, 1),), (2,))))
 
 
+def read_mutated_as_walked(walks):
+    """Read 300 small documents, each with one character inserted, deleted
+    or replaced, as loads_document and as the walk; assert equal outcomes.
+    Returns how many failed and how many the text path read."""
+    rng = np.random.default_rng(12)
+    alphabet = list('0123456789-+.eE[],: \n\t"{}aN')
+    failed = by_text = 0
+    for i in range(300):
+        text = small_bench_text(rng, one_line=i % 2 == 0)
+        pos, ch = int(rng.integers(len(text))), str(rng.choice(alphabet))
+        kind = i % 3  # 0 inserts, 1 deletes, 2 replaces
+        text = text[:pos] + ("" if kind == 1 else ch) + text[pos + (kind > 0):]
+        walked = len(walks)
+        read = document_outcome(loads_document, text)
+        by_text += len(walks) == walked
+        expected = document_outcome(skio._loads_walked, text)
+        assert read == expected
+        failed += isinstance(expected[0], type)
+    return failed, by_text
+
+
+def bench_shaped_instance(rng, order):
+    """A graph with the benchmark's density (about 28 %) and weights (signed
+    integers, positive loops), and a partition of its first four vertices."""
+    weights = rng.choice([-3.0, -2.0, -1.0, 1.0, 2.0, 3.0], size=(order, order))
+    a = np.where(rng.random((order, order)) < 0.28, weights, 0.0)
+    np.fill_diagonal(a, np.abs(a.diagonal()))
+    return WeightedDigraph.from_adjacency(a), SeidelPartition(((0, 1), (2, 3)), (4,))
+
+
+def one_line_text(g, part):
+    """The one-line json.dumps layout the benchmark writes."""
+    a = adjacency_matrix(g)
+    rows, cols = np.nonzero(a)
+    edges = list(zip(rows.tolist(), cols.tolist(), a[rows, cols].tolist()))  # tuples dump as lists
+    return json.dumps({"order": g.order, "edges": edges,
+                       "partition": {"cells": [list(c) for c in part.cells], "d": list(part.d_cell)}})
+
+
+# documents at the edges of what the text path vouches for
+TEXT_PATH_CASES = [
+    # duplicate top-level keys: json.loads keeps the last value
+    '{"order": 2, "edges": [[0, 1, 1.0]], "edges": []}',
+    '{"order": 2, "edges": [[0, 1, 1.0]], "edges": [[1, 0, 2.0]]}',
+    '{"order": 2, "edges": [[0, 1, 1.0]], "order": 3}',
+    '{"order": 2, "edges": [[1, 1, 1.0]], "order": 1}',
+    # the text of an edge list where no edges are, and edges before order
+    '{"order": 2, "edges": [[0, 1, 1.0]], "metadata": {"note": "\\"edges\\": [[1, 0, 5.0]]"}}',
+    '{"metadata": {"note": "{\\"order\\": 2, \\"edges\\": [["}, "order": 2, "edges": [[0, 1, 1.0]]}',
+    '{"edges": [[0, 1, 1.0]], "order": 2}',
+    # numbers JSON does not have, and numbers where JSON has none
+    '{"order": 2, "edges": [[0, 1, 01]]}',
+    '{"order": 2, "edges": [[0, 1, -01]]}',
+    '{"order": 2, "edges": [[0, 1, +1]]}',
+    '{"order": 2, "edges": [[0, 1, .5]]}',
+    '{"order": 2, "edges": [[0, 1, 5.]]}',
+    '{"order": 2, "edges": [[0, 1, 1e]]}',
+    '{"order": 2, "edges": [[0, 1, 1.5.2]]}',
+    '{"order": 2, "edges": [[0, 1, 1e5.0]]}',
+    '{"order": 2, "edges": [[0, 1, 1 5]]}',
+    '{"order": 2, "edges": [[0, 1, 1.0]] 5}',
+    '{"order": 2, "edges": [[0, 1, 1.0], 5]}',
+    '{"order": 2, "edges": [[0, 1, 1.0]],}',
+    '{"order": 2, "edges": [[0, 1, 1-2]]}',
+    '{"order": 2, "edges": [[0, 1, --1]]}',
+    '{"order": 2, "edges": [[0, 1, -]]}',
+    '{"order": 2, "edges": [[0, 1, 1e+-5]]}',
+    # an empty slot, and a number outside a triple to make up the count
+    '{"order": 2, "edges": [5 [0, , 1.0]]}',
+    '{"order": 2, "edges": [[0, 1, 1.0] 5, [1, , 2.0]]}',
+    '{"order": 2, "edges": [[01, 1, 1.0]]}',
+    # numbers outside a triple that flatten to a list of 3k numbers
+    '{"order": 2, "edges": [1[, 0, 1.0]]}',
+    '{"order": 9, "edges": [[0, 1, 1.0], 2[, 3, 4.0]]}',
+    '{"order": 6, "edges": [[0, 1, ]5]}',
+    # endpoints that are no integers, or no vertex
+    '{"order": 2, "edges": [[0, 1.0, 1.0]]}',
+    '{"order": 2, "edges": [[1e0, 0, 1.0]]}',
+    '{"order": 2, "edges": [[0, 1' + "0" * 400 + ', 1.0]]}',
+    '{"order": 2, "edges": [[-0, 1, 1.0], [0, 1, 2.0]]}',
+    # weights that are no finite nonzero number
+    '{"order": 2, "edges": [[0, 1, 1e400]]}',
+    '{"order": 2, "edges": [[0, 1, -0]]}',
+    '{"order": 2, "edges": [[0, 1, 1e-400]]}',
+    '{"order": 2, "edges": [[0, 1, 1' + "0" * 400 + ']]}',
+    '{"order": 2, "edges": [[0, 1, NaN]]}',
+    '{"order": 2, "edges": [[0, 1, Infinity]]}',
+    '{"order": 2, "edges": [[0, 1, "1.5"], [1, 0, 2.0]]}',
+    '{"order": 2, "edges": [[0, 1, true]]}',
+    '{"order": 2, "edges": [[false, 1, 1.0]]}',
+    '{"order": 2, "edges": [[1, 1, -2.0]]}',
+    # JSON whitespace of every kind
+    '{\r\n\t"order": 2,\r\n\t"edges": [\r\n\t\t[0,\t1,\t1.0],\r\n\t\t[1, 0, 2E+1]\r\n\t]\r\n}\r\n',
+    '{"order": 2, "edges": [[0, 1, 1.0],[1, 0, 2.0]]}',
+    '{"order":2,"edges":[[0,1,1.0],[1,0,2.0]]}',
+    '{"order": 2, "edges": []}',
+    # faults past the first triple, which a cut at every triple reads alone
+    '{"order": 3, "edges": [[0, 1, 1.0] ,\n\t[1, 2, 2.0], [2, 0, 01]]}',
+    '{"order": 3, "edges": [[0, 1, 1.0], [1, 2, 2.0], [2, 0, 1e400]]}',
+    '{"order": 3, "edges": [[0, 1, 1.0], [1, 2, 2.0], [0, 1, 3.0]]}',
+    '{"order": 3, "edges": [[0, 1, 1.0], [1, 2, 2.0], [2, 0, 1' + "0" * 400 + ']]}',
+    '{"order": 3, "edges": [[0, 1, 1.0], [1, 2, 2.0], [2, 2, -1.0]]}',
+    '{"order": 3, "edges": [[0, 1, 1.0], [1, 2, ], [2, 0, 1.0]]}',
+    '{"order": 3, "edges": [[0, 1, 1.0], [1, 2, 2.0] [2, 0, 1.0]]}',
+]
+
+
 class TestTextPath:
     """`loads_document` reads an edge list as text when it can vouch for it;
     every outcome equals the walk's (`io._loads_walked`)."""
 
-    @pytest.mark.parametrize("text", [
-        # duplicate top-level keys: json.loads keeps the last value
-        '{"order": 2, "edges": [[0, 1, 1.0]], "edges": []}',
-        '{"order": 2, "edges": [[0, 1, 1.0]], "edges": [[1, 0, 2.0]]}',
-        '{"order": 2, "edges": [[0, 1, 1.0]], "order": 3}',
-        '{"order": 2, "edges": [[1, 1, 1.0]], "order": 1}',
-        # the text of an edge list where no edges are, and edges before order
-        '{"order": 2, "edges": [[0, 1, 1.0]], "metadata": {"note": "\\"edges\\": [[1, 0, 5.0]]"}}',
-        '{"metadata": {"note": "{\\"order\\": 2, \\"edges\\": [["}, "order": 2, "edges": [[0, 1, 1.0]]}',
-        '{"edges": [[0, 1, 1.0]], "order": 2}',
-        # numbers JSON does not have, and numbers where JSON has none
-        '{"order": 2, "edges": [[0, 1, 01]]}',
-        '{"order": 2, "edges": [[0, 1, -01]]}',
-        '{"order": 2, "edges": [[0, 1, +1]]}',
-        '{"order": 2, "edges": [[0, 1, .5]]}',
-        '{"order": 2, "edges": [[0, 1, 5.]]}',
-        '{"order": 2, "edges": [[0, 1, 1e]]}',
-        '{"order": 2, "edges": [[0, 1, 1.5.2]]}',
-        '{"order": 2, "edges": [[0, 1, 1e5.0]]}',
-        '{"order": 2, "edges": [[0, 1, 1 5]]}',
-        '{"order": 2, "edges": [[0, 1, 1.0]] 5}',
-        '{"order": 2, "edges": [[0, 1, 1.0], 5]}',
-        '{"order": 2, "edges": [[0, 1, 1.0]],}',
-        '{"order": 2, "edges": [[0, 1, 1-2]]}',
-        '{"order": 2, "edges": [[0, 1, --1]]}',
-        '{"order": 2, "edges": [[0, 1, -]]}',
-        '{"order": 2, "edges": [[0, 1, 1e+-5]]}',
-        # an empty slot, and a number outside a triple to make up the count
-        '{"order": 2, "edges": [5 [0, , 1.0]]}',
-        '{"order": 2, "edges": [[0, 1, 1.0] 5, [1, , 2.0]]}',
-        '{"order": 2, "edges": [[01, 1, 1.0]]}',
-        # numbers outside a triple that flatten to a list of 3k numbers
-        '{"order": 2, "edges": [1[, 0, 1.0]]}',
-        '{"order": 9, "edges": [[0, 1, 1.0], 2[, 3, 4.0]]}',
-        '{"order": 6, "edges": [[0, 1, ]5]}',
-        # endpoints that are no integers, or no vertex
-        '{"order": 2, "edges": [[0, 1.0, 1.0]]}',
-        '{"order": 2, "edges": [[1e0, 0, 1.0]]}',
-        '{"order": 2, "edges": [[0, 1' + "0" * 400 + ', 1.0]]}',
-        '{"order": 2, "edges": [[-0, 1, 1.0], [0, 1, 2.0]]}',
-        # weights that are no finite nonzero number
-        '{"order": 2, "edges": [[0, 1, 1e400]]}',
-        '{"order": 2, "edges": [[0, 1, -0]]}',
-        '{"order": 2, "edges": [[0, 1, 1e-400]]}',
-        '{"order": 2, "edges": [[0, 1, 1' + "0" * 400 + ']]}',
-        '{"order": 2, "edges": [[0, 1, NaN]]}',
-        '{"order": 2, "edges": [[0, 1, Infinity]]}',
-        '{"order": 2, "edges": [[0, 1, "1.5"], [1, 0, 2.0]]}',
-        '{"order": 2, "edges": [[0, 1, true]]}',
-        '{"order": 2, "edges": [[false, 1, 1.0]]}',
-        '{"order": 2, "edges": [[1, 1, -2.0]]}',
-        # JSON whitespace of every kind
-        '{\r\n\t"order": 2,\r\n\t"edges": [\r\n\t\t[0,\t1,\t1.0],\r\n\t\t[1, 0, 2E+1]\r\n\t]\r\n}\r\n',
-        '{"order": 2, "edges": [[0, 1, 1.0],[1, 0, 2.0]]}',
-        '{"order":2,"edges":[[0,1,1.0],[1,0,2.0]]}',
-        '{"order": 2, "edges": []}',
-    ])
+    @pytest.mark.parametrize("text", TEXT_PATH_CASES)
     def test_the_text_path_reads_as_the_walk(self, text):
         assert_read_as_walked(text)
 
     def test_mutated_documents_read_as_the_walk(self, walks):
-        # one character inserted, deleted or replaced
-        rng = np.random.default_rng(12)
-        alphabet = list('0123456789-+.eE[],: \n\t"{}aN')
-        failed = by_text = 0
-        for i in range(300):
-            text = small_bench_text(rng, one_line=i % 2 == 0)
-            pos, ch = int(rng.integers(len(text))), str(rng.choice(alphabet))
-            kind = i % 3  # 0 inserts, 1 deletes, 2 replaces
-            text = text[:pos] + ("" if kind == 1 else ch) + text[pos + (kind > 0):]
-            walked = len(walks)
-            read = document_outcome(loads_document, text)
-            by_text += len(walks) == walked
-            expected = document_outcome(skio._loads_walked, text)
-            assert read == expected
-            failed += isinstance(expected[0], type)
+        failed, by_text = read_mutated_as_walked(walks)
         assert failed > 150 and by_text > 60  # 213 and 94 of 300
+
+    @pytest.mark.parametrize("text", TEXT_PATH_CASES)
+    def test_a_cut_at_every_triple_reads_as_the_walk(self, text, walks, monkeypatch):
+        assert_read_as_walked(text)
+        routes = walks[:]
+        monkeypatch.setattr(skio, "_READ_SLICE", 1)  # each slice ends at the next "["
+        assert_read_as_walked(text)
+        assert walks == routes * 2
+
+    def test_mutated_documents_cut_at_every_triple_read_as_the_walk(self, walks, monkeypatch):
+        read_mutated_as_walked(walks)
+        routes = walks[:]
+        monkeypatch.setattr(skio, "_READ_SLICE", 1)
+        read_mutated_as_walked(walks)
+        assert walks == routes * 2
+
+    def test_a_bench_shaped_document_reads_in_slices(self, walks, monkeypatch):
+        g, part = bench_shaped_instance(np.random.default_rng(5), 144)
+        text = one_line_text(g, part)
+        for size in (1, 4096):  # slices of one triple, of a few hundred
+            monkeypatch.setattr(skio, "_READ_SLICE", size)
+            doc = loads_document(text)
+            assert doc.graph() == g and doc.partition == part and walks == []
 
     def test_both_layouts_take_the_text_path(self, walks):
         g, part = heavy_cycle_instance()
@@ -319,6 +380,62 @@ class TestTextPath:
         assert loads_document(text).graph() == g
         assert loads_document(text.replace("e-", "E-").replace("e+", "E+")).graph() == g
         assert walks == []
+
+
+def traced_peak(f, *args):
+    """(the most memory f(*args) held at once, by tracemalloc, its result)"""
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        result = f(*args)
+        return tracemalloc.get_traced_memory()[1] - before, result
+    finally:
+        tracemalloc.stop()
+
+
+class TestBlocks:
+    """`dumps_document` renders a block of rows at a time and `loads_document`
+    reads a slice at a time; the text is the same at any block size."""
+
+    @pytest.mark.parametrize("name", [*ALL_FIXTURES, "bench-shaped"])
+    def test_one_row_blocks_write_the_same_text(self, name, monkeypatch):
+        if name == "bench-shaped":
+            g, part = bench_shaped_instance(np.random.default_rng(6), 160)
+            doc = GraphDocument.from_graph(g, part, {"note": "x"})
+        else:
+            doc = load_fixture(name)
+        text = dumps_document(doc)
+        monkeypatch.setattr(skio, "_WRITE_BLOCK", 1)  # one row per block
+        assert dumps_document(doc) == text
+
+    @pytest.mark.parametrize("block", [1, 6, 9])  # 1, 2 and 3 rows of order 3
+    @pytest.mark.parametrize("edges, lines", [
+        ([(0, 1, 1.0), (0, 2, -2.0)], ["    [0, 1, 1.0],", "    [0, 2, -2.0]"]),
+        ([(2, 0, 1.5)], ["    [2, 0, 1.5]"]),  # the only edge in the last row
+        ([(0, 0, 2.0), (2, 2, 0.5)], ["    [0, 0, 2.0],", "    [2, 2, 0.5]"]),
+        ([], []),
+    ])
+    def test_blocks_without_edges_leave_no_trace(self, edges, lines, block, monkeypatch,
+                                                 tmp_path):
+        monkeypatch.setattr(skio, "_WRITE_BLOCK", block)
+        doc = GraphDocument.from_graph(WeightedDigraph.from_edges(3, edges))
+        edge_lines = ['  "edges": [', *lines, "  ]"] if lines else ['  "edges": []']
+        text = "\n".join(["{", '  "order": 3,', *edge_lines, "}", ""])
+        assert dumps_document(doc) == text
+        write_document(doc, tmp_path / "doc.graph")
+        assert (tmp_path / "doc.graph").read_text() == text
+        assert loads_document(text) == doc
+
+    def test_text_handling_holds_a_few_times_the_text(self):
+        # order 576 at the benchmark's density: about 1.6 MB of one-line
+        # document and 2 MB written; one join of the whole edge list held
+        # 7.5 times its output, one json.loads 8.2 times the text
+        g, part = bench_shaped_instance(np.random.default_rng(7), 576)
+        text = one_line_text(g, part)
+        loads_peak, doc = traced_peak(loads_document, text)
+        dumps_peak, out = traced_peak(dumps_document, doc)
+        assert doc.graph() == g and doc.partition == part
+        assert loads_peak < 7 * len(text) and dumps_peak < 3 * len(out)
 
 
 def fixture_file(name, tmp_path):

@@ -1,6 +1,8 @@
 """Graph density matrices, entropy and purity."""
 
+import copy
 import gc
+import pickle
 import sys
 import threading
 import weakref
@@ -100,6 +102,21 @@ class TestDensityMatrixValidation:
         assert rho.matrix[0, 0] == 0.5
         with pytest.raises(ValueError):
             rho.matrix[0, 0] = 1.0
+
+    @pytest.mark.parametrize("copied", [lambda rho: pickle.loads(pickle.dumps(rho)),
+                                        copy.deepcopy], ids=["pickle", "deepcopy"])
+    def test_a_copy_is_frozen_and_checked_again(self, copied, eigensolves):
+        # numpy copies an array as a writable one; the state rebuilds through
+        # DensityMatrix, so the copy's matrix is frozen and its spectrum solved
+        for rho in (DensityMatrix(np.diag([0.75, 0.25])),
+                    density_from_graph(P3, SpectralKind.LAPLACIAN)):  # trace 4: exact
+            eigensolves.clear()
+            twin = copied(rho)
+            assert len(eigensolves) == 1 and not twin.matrix.flags.writeable
+            with pytest.raises(ValueError):
+                twin.matrix.flags.writeable = True
+            assert np.array_equal(twin.matrix, rho.matrix)
+            assert np.array_equal(twin.eigenvalues(), rho.eigenvalues())
 
     def test_indefinite_rejected(self):
         m = np.diag([1.5, -0.5])
