@@ -56,10 +56,15 @@ def _bound(tol: float, top):
     return tol * (1.0 + top)
 
 
+def _top(x):
+    """max |entry| of x (0.0 for none) without an |x| array; NaN for a NaN entry."""
+    return np.maximum(np.maximum.reduce(x, axis=None, initial=0.0),
+                      -np.minimum.reduce(x, axis=None, initial=0.0))
+
+
 def _within(x, tol: float, scale) -> np.ndarray:
     """Elementwise |x| <= tol * (1 + max |entry| of scale): the tolerance rule."""
-    top = np.maximum(np.max(scale, initial=0.0), -np.min(scale, initial=0.0))  # no |scale| array
-    return np.abs(x) <= _bound(tol, top)
+    return np.abs(x) <= _bound(tol, _top(scale))
 
 
 def _symmetric(m: np.ndarray) -> bool:
@@ -125,8 +130,9 @@ class WeightedDigraph:
 
     Whether the weights are symmetric is decided when the graph is built,
     by one exact scan, or handed over by the switch that built it (see
-    `switching`). Since the graph never changes, it also remembers, per
-    partition, the cell profiles and partition order of a
+    `switching`); so is max |w|, the scale of the tolerance rule, in one
+    pass that also finds a non-finite weight. Since the graph never
+    changes, it also remembers, per partition, the cell profiles of a
     `validate_starlike` that passed, so validate-then-`lq_switch` checks
     once; a check that fails is not remembered and fails the same way
     again. It also remembers the first spectrum solved of its Laplacian or
@@ -135,10 +141,10 @@ class WeightedDigraph:
     graph: it scans its weights and remembers no check and no spectrum.
     """
 
-    # _facts: passed starlike checks, keyed by ("starlike", partition), and
-    # read-only L/Q spectra, keyed by ("spectrum", kind); O(n) arrays at
-    # most, never n x n
-    __slots__ = ("order", "_adjacency", "_symmetric", "_edges", "_facts")
+    # _top: max |w|; _facts: the cell profiles of passed starlike checks,
+    # keyed by ("starlike", partition), and read-only L/Q spectra, keyed by
+    # ("spectrum", kind); O(n) arrays at most, never n x n
+    __slots__ = ("order", "_adjacency", "_symmetric", "_top", "_edges", "_facts")
 
     def __init__(self, order: int, edges: Mapping[tuple[int, int], float] | None = None):
         edges = edges or {}
@@ -146,9 +152,10 @@ class WeightedDigraph:
         self._adopt(_dense(order, *pairs, np.fromiter(edges.values(), float, len(edges))))
 
     def _adopt(self, a: np.ndarray, symmetric: bool | None = None) -> None:
+        top = _top(a)  # finite exactly when every weight is; rows are scanned to name one
+        nonfinite = np.zeros(len(a), bool) if np.isfinite(top) else ~np.isfinite(a).all(axis=1)
         raise_first(
-            (~np.isfinite(a).all(axis=1), lambda v: InvalidGraph(
-                f"vertex {v} has an edge of non-finite weight")),
+            (nonfinite, lambda v: InvalidGraph(f"vertex {v} has an edge of non-finite weight")),
             (a.diagonal() < 0, lambda v: InvalidGraph(
                 f"loop at {v} must have positive weight, got {a[v, v]}")),
         )
@@ -156,7 +163,7 @@ class WeightedDigraph:
         if symmetric is None:
             symmetric = bool(np.array_equal(a, a.T))
         for name, value in (("order", len(a)), ("_adjacency", a), ("_symmetric", symmetric),
-                            ("_edges", None), ("_facts", {})):
+                            ("_top", float(top)), ("_edges", None), ("_facts", {})):
             object.__setattr__(self, name, value)
 
     def __setattr__(self, name, value):
@@ -209,11 +216,12 @@ class WeightedDigraph:
                                f"got shape {table.shape}")
         rows, cols, weights = table.T
         a = _dense(order, rows, cols, weights)
-        # every pair is a vertex pair now, so equal keys mean equal pairs
-        repeated = np.ones(len(rows), dtype=bool)
-        repeated[np.unique(rows * order + cols, return_index=True)[1]] = False
-        raise_first((repeated, lambda i: InvalidGraph(
-            f"duplicate ordered pair ({rows[i]:g}, {cols[i]:g})")))
+        if np.count_nonzero(a) != len(rows):  # no weight is zero, so a pair repeats
+            # every pair is a vertex pair now, so equal keys mean equal pairs
+            repeated = np.ones(len(rows), dtype=bool)
+            repeated[np.unique(rows * order + cols, return_index=True)[1]] = False
+            raise_first((repeated, lambda i: InvalidGraph(
+                f"duplicate ordered pair ({rows[i]:g}, {cols[i]:g})")))
         return cls._of(a)
 
     @property
@@ -474,10 +482,7 @@ def cospectral(a: np.ndarray, b: np.ndarray, tol: float = NUMERIC_TOL) -> bool:
     `spectral_gap`); the verdict is identical either way.
     """
     a, b = _square(a), _square(b)
-    # the extremes of a and b give max |entry| without a temporary matrix
-    hi = max(np.maximum.reduce(x, axis=None, initial=0.0) for x in (a, b))
-    lo = min(np.minimum.reduce(x, axis=None, initial=0.0) for x in (a, b))
-    return bool(spectral_gap(a, b, tol) <= _bound(tol, max(hi, -lo)))
+    return bool(spectral_gap(a, b, tol) <= _bound(tol, np.maximum(_top(a), _top(b))))
 
 
 def _vertex_signature(a: np.ndarray, v: int) -> tuple:

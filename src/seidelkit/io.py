@@ -197,8 +197,8 @@ def _edge_table(body: bytes) -> np.ndarray | None:
 
 
 def _text_path(text: str) -> tuple[int, np.ndarray, dict] | None:
-    """(order, edge table, the other top-level fields) of a document the
-    text path vouches for, or None."""
+    """(order, edge table, the other top-level fields, and a "" key) of a
+    document the text path vouches for, or None."""
     head = _HEAD.match(text)
     if head is None:
         return None
@@ -207,15 +207,8 @@ def _text_path(text: str) -> tuple[int, np.ndarray, dict] | None:
     end = text.rfind("]", start, None if quote < 0 else quote)
     if end < 0:
         return None
-    rest = text[end + 1:].lstrip(_SPACE)
-    if rest[:1] == ",":  # then a key must follow: a trailing comma is no JSON
-        rest = rest[1:]
-        if rest.lstrip(_SPACE)[:1] != '"':
-            return None
-    elif rest[:1] != "}":
-        return None
-    try:
-        fields = json.loads("{" + rest)
+    try:  # the tail ends an object that opens with a key no reader reads
+        fields = json.loads('{"":0' + text[end + 1:])
     except (ValueError, RecursionError):  # the walk raises it, or an earlier fault
         return None
     if "order" in fields or "edges" in fields:  # json.loads keeps the last value

@@ -34,9 +34,7 @@ from .graph import (
     NUMERIC_TOL, WeightedDigraph, _require_symmetric_weights, _tie, _within, adjacency_matrix,
     laplacian, signless_laplacian,
 )
-from .switching import (
-    SeidelPartition, _checked, _in_partition_order, _Layout, _switched, _verify_switch,
-)
+from .switching import SeidelPartition, _checked, _switched, _verify_switch
 from .switching import validate_seidel  # noqa: F401  kept importable from this module
 
 
@@ -86,18 +84,18 @@ def validate_starlike(g: WeightedDigraph, part: SeidelPartition) -> list[Starlik
     cell come in an even number, split evenly between one half of the cell
     and its complement, again with one weight per direction.
 
-    The graph remembers a check that passed: a later call for an equal
-    partition, or an `lq_switch`, does not check again. Each call returns a
-    new list.
+    The graph remembers the cell profiles of a check that passed: a later
+    call for an equal partition, or an `lq_switch`, does not check again.
+    Each call returns a new list.
     """
     recorded = g._facts.get(("starlike", part))
-    return list(recorded[0] if recorded else _starlike(g, part)[0])
+    return list(_starlike(g, part) if recorded is None else recorded)
 
 
-def _starlike(g: WeightedDigraph, part: SeidelPartition) -> tuple[tuple, _Layout]:
-    """Run the checks of `validate_starlike`; return the cell profiles and
-    the partition layout, which g records together."""
-    blocks, table = _checked(g, part)
+def _starlike(g: WeightedDigraph, part: SeidelPartition) -> tuple:
+    """Run the checks of `validate_starlike`; return the cell profiles, which
+    g records."""
+    table, blocks = _checked(g, part), part._layout
     k, m, sizes = len(part.cells), blocks.m, blocks.sizes
     cell_of = blocks.cell_of
     # every edge lies in a diagonal block, a hub row or column, or joins two cells
@@ -158,8 +156,8 @@ def _starlike(g: WeightedDigraph, part: SeidelPartition) -> tuple[tuple, _Layout
     )
     profiles = tuple(map(StarlikeCellProfile, range(k), *weights.tolist(), p.tolist(), q.tolist(),
                          r.tolist()))
-    g._facts["starlike", part] = profiles, blocks
-    return profiles, blocks
+    g._facts["starlike", part] = profiles
+    return profiles
 
 
 def lift_graph(g: WeightedDigraph, kind: SpectralKind) -> WeightedDigraph:
@@ -220,21 +218,19 @@ def lq_switch(
     starlike validation and certifies M(G') = U M U, as verify=True does; a
     forced switch that is not L/Q-cospectral raises VerificationFailed.
     Without force, the starlike validation runs unless `validate_starlike`
-    already passed on g and an equal partition; then the partition order
-    recorded with it is used, and A is permuted once, in the switch. G'
+    already passed on g and an equal partition. The switch reads the
+    partition order that the partition builds once, and permutes A once. G'
     takes the switched matrix without a copy, and is born symmetric: the
     switch of a symmetric A is exactly symmetric (`switching`), so G' is
     never scanned.
     """
-    recorded = g._facts.get(("starlike", part))
-    if recorded:
-        layout = recorded[1]
-    elif force:
-        layout = _in_partition_order(g, part)
-    else:
-        layout = _starlike(g, part)[1]
+    if ("starlike", part) not in g._facts:  # else a check passed, on a cover of g
+        if force:
+            part.check_cover(g.order)
+        else:
+            _starlike(g, part)
     _require_symmetric_weights(g)
-    result = _switched(g, layout)
+    result = _switched(g, part)
     if force or verify:
         _verify_switch(spectral_matrix(g, kind), spectral_matrix(result, kind), part)
     return result

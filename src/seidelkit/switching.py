@@ -35,6 +35,7 @@ other count is in none.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from itertools import chain
 from types import SimpleNamespace
@@ -53,7 +54,7 @@ from .errors import (
     VerificationFailed,
     raise_first,
 )
-from .graph import EXACT_TOL, WeightedDigraph, _bound, _within, adjacency_matrix
+from .graph import EXACT_TOL, WeightedDigraph, _bound, _top, _within, adjacency_matrix
 
 
 @dataclass(frozen=True)
@@ -61,9 +62,9 @@ class SeidelPartition:
     """Ordered cells C_1..C_k plus the hub set D.
 
     Vertices are Python or numpy integers; a bool is refused. Cells have at
-    least two vertices each; cells and D are pairwise disjoint. Vertex
-    indices inside each part are kept sorted so the partition ordering
-    (cells concatenated, then D) is canonical.
+    least two vertices each; no part repeats a vertex, and cells and D are
+    pairwise disjoint. Vertex indices inside each part are kept sorted so
+    the partition ordering (cells concatenated, then D) is canonical.
     """
 
     cells: tuple[tuple[int, ...], ...]
@@ -85,6 +86,9 @@ class SeidelPartition:
             seen |= set(cell)
         if seen & set(self.d_cell):
             raise InvalidPartition("hub set D overlaps a cell")
+        for part in (*self.cells, self.d_cell):  # an overlap keeps its own error
+            if len(set(part)) < len(part):
+                raise InvalidPartition(f"part {part} repeats a vertex")
 
     def members(self) -> set[int]:
         out = set(self.d_cell)
@@ -95,6 +99,11 @@ class SeidelPartition:
     def check_cover(self, order: int) -> None:
         if self.members() != set(range(order)):
             raise InvalidPartition(f"partition does not cover vertices 0..{order - 1} exactly")
+
+    @functools.cached_property
+    def _layout(self) -> _Layout:
+        """The partition order, built on first use, after a cover check."""
+        return _Layout(self.cells, self.d_cell)
 
 
 @dataclass(frozen=True)
@@ -185,7 +194,7 @@ def switch_cross_block(a: np.ndarray) -> np.ndarray:
         raise NonConstantRowSum(f"row sums vary: {row_sums}")
     full = np.zeros((m + n, m + n))
     full[:m, m:] = a
-    return _conjugated(full, _Layout((range(m), range(m, m + n)), ()))[:m, m:]
+    return _conjugated(full, _Layout((range(m), range(m, m + n)), ()), _top(a))[:m, m:]
 
 
 def flip_half_pattern(x: Sequence[float]) -> np.ndarray:
@@ -204,14 +213,14 @@ def flip_half_pattern(x: Sequence[float]) -> np.ndarray:
     n = len(x)
     full = np.zeros((n + 1, n + 1))
     full[n, :n] = x
-    return _conjugated(full, _Layout((range(n),), (n,)))[n, :n]
+    return _conjugated(full, _Layout((range(n),), (n,)), _top(x))[n, :n]
 
 
 class _Layout:
     """The partition order of a vertex set: the cells as consecutive blocks,
     then D, so that every per-cell quantity of a matrix in this order is one
-    `reduceat` over whole rows or columns, from `starts`. It holds O(n)
-    index arrays only, so a graph may record it with a check that passed.
+    `reduceat` over whole rows or columns, from `starts`. A partition builds
+    its own once (`SeidelPartition._layout`), and the layout its `blocks`.
     `cells` and `d` are vertex sequences that cover 0..n-1; a cell of one
     vertex behaves like a vertex of D, since U_1 = I.
     """
@@ -227,6 +236,7 @@ class _Layout:
         self.part_of = np.empty(len(part), dtype=np.intp)  # of each vertex
         self.part_of[self.perm] = part
 
+    @functools.cached_property
     def blocks(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
         """The diagonal blocks of the parts, the cells and then D (if any):
         the row and column vertex of each entry, block by block and row by
@@ -242,10 +252,10 @@ class _Layout:
         return rows, cols, seg, starts
 
 
-def _conjugated(a: np.ndarray, lay: _Layout, symmetric: bool = False) -> np.ndarray:
-    """U A U for a square matrix A and a layout that covers it, in A's own
-    vertex order. `symmetric` says that A is exactly symmetric, so its row
-    sums over a cell are its column sums.
+def _conjugated(a: np.ndarray, lay: _Layout, top: float, symmetric: bool = False) -> np.ndarray:
+    """U A U for a square matrix A with max |entry| `top` and a layout that
+    covers it, in A's own vertex order. `symmetric` says that A is exactly
+    symmetric, so its row sums over a cell are its column sums.
 
     Only rows are permuted: the work runs on A with its rows in partition
     order and its columns in vertex order, which every per-cell row sum
@@ -277,8 +287,6 @@ def _conjugated(a: np.ndarray, lay: _Layout, symmetric: bool = False) -> np.ndar
     col_part = cols2 - half.take(part_of, axis=1, mode="clip")
     for s, n, c in zip(starts.tolist(), sizes.tolist(), col_part):
         both[s : s + n] += c  # no second m x n array
-    # max |entry| of A, before q changes
-    top = max(np.maximum.reduce(q, axis=None), -np.minimum.reduce(q, axis=None), 0.0)
     hub_columns = q[:m, hubs]
     q[:m] -= both
     q[:m, hubs] = cols2[:, hubs][cell_of] - hub_columns
@@ -290,28 +298,23 @@ def _conjugated(a: np.ndarray, lay: _Layout, symmetric: bool = False) -> np.ndar
     np.multiply(q, np.abs(q, out=result) > _bound(EXACT_TOL, top), out=q)
     q += 0.0
     result[perm] = q
-    inside = np.ravel_multi_index(lay.blocks()[:2], result.shape)
+    inside = np.ravel_multi_index(lay.blocks[:2], result.shape)
     result.put(inside, a.take(inside))
     return result
 
 
-def _in_partition_order(g: WeightedDigraph, part: SeidelPartition) -> _Layout:
-    """The layout of `part`, which must cover g."""
+def _checked(g: WeightedDigraph, part: SeidelPartition) -> SimpleNamespace:
+    """Run the checks of `validate_seidel`; return the hub table. Only the
+    diagonal blocks and the hub rows and columns of A are read, in A's own
+    vertex order: A is not permuted here."""
     part.check_cover(g.order)
-    return _Layout(part.cells, part.d_cell)
-
-
-def _checked(g: WeightedDigraph, part: SeidelPartition) -> tuple[_Layout, SimpleNamespace]:
-    """Run the checks of `validate_seidel`; return the partition layout and
-    the hub table. Only the diagonal blocks and the hub rows and columns of
-    A are read, in A's own vertex order: A is not permuted here."""
-    lay = _in_partition_order(g, part)
+    lay = part._layout
     a, n, m, perm, d = g._adjacency, g.order, lay.m, lay.perm, part.d_cell
     # (b) for all parts at once, the cells and then D: a part's interior row
     # (column) sums are the sums of its rows (columns) over its own vertices.
     # Its block is gathered row by row, then column by column, so that each
     # sum is one segment of one reduceat, added in partition order.
-    rows, cols, seg, starts = lay.blocks()
+    rows, cols, seg, starts = lay.blocks
     entries = a.take(np.concatenate((rows * n + cols, cols * n + rows)))
     # absolute then signed, row sums then column sums: a (4, n) table
     segments = (seg + np.arange(0, 2 * len(entries), len(rows))[:, None]).ravel()
@@ -359,7 +362,7 @@ def _checked(g: WeightedDigraph, part: SeidelPartition) -> tuple[_Layout, Simple
                 f"hub {{v}} / cell {{i}}: unequal {name} weights {{w}}", k, j)),
         ]
     raise_first(*checks)
-    return lay, table
+    return table
 
 
 def validate_seidel(g: WeightedDigraph, part: SeidelPartition) -> CategoryReport:
@@ -372,7 +375,7 @@ def validate_seidel(g: WeightedDigraph, part: SeidelPartition) -> CategoryReport
     case, (d) parallel edges only occur as oppositely oriented pairs, which
     the graph model guarantees.
     """
-    d, kinds = part.d_cell, _checked(g, part)[1].kinds
+    d, kinds = part.d_cell, _checked(g, part).kinds
     category = np.arange(1, 4) @ kinds.reshape(3, -1)  # 0 for a count that is in none
     categories = {(i, v): c for i, row in enumerate(category.reshape(kinds.shape[1:]).tolist())
                   for v, c in zip(d, row)}
@@ -393,12 +396,13 @@ def _verify_switch(m: np.ndarray, switched: np.ndarray, part: SeidelPartition) -
             f"switched matrix deviates from U M U by {deviation[i, j]:.3e} at ({i}, {j})")
 
 
-def _switched(g: WeightedDigraph, layout: _Layout) -> WeightedDigraph:
-    """The switch of g, for a layout that covers it. The switch of an exactly
+def _switched(g: WeightedDigraph, part: SeidelPartition) -> WeightedDigraph:
+    """The switch of g, for a partition that covers it. The switch of an exactly
     symmetric A is exactly symmetric, so a symmetric g hands its symmetry to
     the result, which is then not scanned; any other result is scanned."""
     symmetric = g.is_symmetric()
-    return WeightedDigraph._of(_conjugated(g._adjacency, layout, symmetric), symmetric or None)
+    return WeightedDigraph._of(_conjugated(g._adjacency, part._layout, g._top, symmetric),
+                               symmetric or None)
 
 
 def switch(g: WeightedDigraph, part: SeidelPartition, verify: bool = False) -> WeightedDigraph:
@@ -410,7 +414,8 @@ def switch(g: WeightedDigraph, part: SeidelPartition, verify: bool = False) -> W
     result against the dense U A U under the tolerance rule of `graph`,
     which proves cospectrality; meant for tests, not production runs.
     """
-    result = _switched(g, _checked(g, part)[0])
+    _checked(g, part)
+    result = _switched(g, part)
     if verify:
         _verify_switch(adjacency_matrix(g), adjacency_matrix(result), part)
     return result

@@ -69,6 +69,17 @@ class TestConstruction:
         with pytest.raises(InvalidGraph):
             WeightedDigraph.from_edges(2, [(0, 1, 1.0), (0, 1, 2.0)])
 
+    def test_only_a_repeated_pair_is_searched_for(self, monkeypatch):
+        # the first repeat is named; without one, no key is sorted
+        sorts = []
+        monkeypatch.setattr(np, "unique",
+                            lambda *a, f=np.unique, **kw: sorts.append(a) or f(*a, **kw))
+        WeightedDigraph.from_edges(3, [(1, 0, 1.0), (0, 1, 2.0), (2, 2, 1.0)])
+        assert sorts == []
+        with pytest.raises(InvalidGraph, match=r"^duplicate ordered pair \(1, 0\)$"):
+            WeightedDigraph.from_edges(3, [(1, 0, 1.0), (0, 1, 2.0), (2, 2, 1.0), (1, 0, 1.0),
+                                           (0, 1, 3.0)])
+
     @pytest.mark.parametrize("table, shape", [
         ([(0, 1), (1, 0), (0, 2), (2, 0), (1, 2), (2, 1)], r"\(6, 2\)"),
         ([(0, 1, 1.0, 5.0), (1, 0, 1.0, 5.0)], r"\(2, 4\)"),
@@ -121,6 +132,21 @@ class TestConstruction:
             WeightedDigraph.from_edges(2, [(0, 1, w)])
         with pytest.raises(InvalidGraph):
             WeightedDigraph.from_adjacency(np.array([[0.0, w], [0.0, 0.0]]))
+
+    @pytest.mark.parametrize("bad, loop, named", [
+        ((1, 0, np.inf), 2, "vertex 1 has an edge of non-finite weight"),
+        ((2, 0, np.nan), 1, r"loop at 1 must have positive weight, got -1\.0"),
+        # at one vertex, the non-finite weight
+        ((1, 0, -np.inf), 1, "vertex 1 has an edge of non-finite weight"),
+        ((1, 1, -np.inf), 2, "vertex 1 has an edge of non-finite weight"),
+    ])
+    def test_the_earliest_vertex_names_the_fault(self, bad, loop, named):
+        # a non-finite weight and a negative loop: the earlier vertex wins
+        a = np.zeros((3, 3))
+        a[loop, loop] = -1.0
+        a[bad[:2]] = bad[2]
+        with pytest.raises(InvalidGraph, match=f"^{named}$"):
+            WeightedDigraph.from_adjacency(a)
 
     def test_immutable(self):
         with pytest.raises(AttributeError):

@@ -1,6 +1,7 @@
 """Document format, fixtures and the command-line interface."""
 
 import json
+import re
 import tracemalloc
 
 import numpy as np
@@ -20,7 +21,13 @@ from seidelkit import (
 )
 from seidelkit import io as skio
 from seidelkit.cli import main
-from seidelkit.errors import InvalidGraph, ParallelEdges, ParseError, SeidelKitError
+from seidelkit.errors import (
+    InvalidGraph,
+    InvalidPartition,
+    ParallelEdges,
+    ParseError,
+    SeidelKitError,
+)
 from seidelkit.io import fixture_names, loads_document
 
 ALL_FIXTURES = [
@@ -127,6 +134,22 @@ class TestDocuments:
         path.write_text(text)
         assert main(["validate", str(path)]) == 1
         assert capsys.readouterr().err.startswith(f"error: InvalidGraph: order {order} ")
+
+    @pytest.mark.parametrize("order, partition, named", [
+        (2, '{"cells": [[0, 0]], "d": [1]}', r"part \(0, 0\) repeats a vertex"),
+        (3, '{"cells": [[0, 1]], "d": [2, 2]}', r"part \(2, 2\) repeats a vertex"),
+    ])
+    def test_a_partition_that_repeats_a_vertex_is_invalid(self, order, partition, named,
+                                                          tmp_path, capsys):
+        # it passed the set-based cover check, and numpy raised in the switch
+        text = f'{{"order": {order}, "edges": [[0, 1, 1.0]], "partition": {partition}}}'
+        with pytest.raises(InvalidPartition, match=f"^{named}$"):
+            loads_document(text)
+        path = tmp_path / "repeats.graph"
+        path.write_text(text)
+        for command in ("validate", "switch"):
+            assert main([command, str(path)]) == 1
+            assert re.fullmatch(f"error: InvalidPartition: {named}\n", capsys.readouterr().err)
 
     @pytest.mark.parametrize("fields", [
         '"order": 2, "edges": [[0, 1, {big}]]',
@@ -312,6 +335,18 @@ TEXT_PATH_CASES = [
     '{"order": 2, "edges": [[0, 1, true]]}',
     '{"order": 2, "edges": [[false, 1, 1.0]]}',
     '{"order": 2, "edges": [[1, 1, -2.0]]}',
+    # tails after the edge list: one json.loads ends them as an object
+    '{"order": 2, "edges": [[0, 1, 1.0]] , "metadata": {"n": 1} }\n',
+    '{"order": 2, "edges": [[0, 1, 1.0]]\r\n}',
+    '{"order": 2, "edges": [[0, 1, 1.0]], }',
+    '{"order": 2, "edges": [[0, 1, 1.0]],, "metadata": {}}',
+    '{"order": 2, "edges": [[0, 1, 1.0]] "metadata": {}}',
+    '{"order": 2, "edges": [[0, 1, 1.0]]}}',
+    '{"order": 2, "edges": [[0, 1, 1.0]]',
+    '{"order": 2, "edges": [[0, 1, 1.0]]\x0b}',
+    '{"order": 2, "edges": [[0, 1, 1.0]], "": 5, "metadata": {"": 1}}',
+    '{"order": 2, "edges": [[0, 1, 1.0]], "metadata": {"n": [1}}',
+    '{"order": 2, "edges": [[0, 1, 1.0]], "metadata": NaN}',
     # JSON whitespace of every kind
     '{\r\n\t"order": 2,\r\n\t"edges": [\r\n\t\t[0,\t1,\t1.0],\r\n\t\t[1, 0, 2E+1]\r\n\t]\r\n}\r\n',
     '{"order": 2, "edges": [[0, 1, 1.0],[1, 0, 2.0]]}',

@@ -1,5 +1,7 @@
 """Switching operators, block transforms and the full graph switch."""
 
+import functools
+
 import numpy as np
 import pytest
 from conftest import (
@@ -13,12 +15,14 @@ from conftest import (
 from seidelkit import (
     SeidelOperator,
     SeidelPartition,
+    SpectralKind,
     WeightedDigraph,
     adjacency_matrix,
     block_seidel,
     cospectral,
     flip_half_pattern,
     load_fixture,
+    lq_switch,
     seidel_matrix,
     switch,
     switch_cross_block,
@@ -390,6 +394,14 @@ class TestSwitch:
                 residues.append(w)
         assert residues == []
 
+    def test_the_snap_scales_with_the_weights(self):
+        # hub weights near 1e6 leave residues near 1e-10: above EXACT_TOL, but
+        # within EXACT_TOL (1 + max |w|), the scale the graph computed once
+        rng = np.random.default_rng(0)
+        for _ in range(500):
+            x1, x2 = rng.uniform(0.01, 1, 2) * 1e6
+            assert switch(cycle_with_hub(2 * (x1 + x2), x1, x2), CYCLE_PART).weight(3, 0) == 0.0
+
     def test_switch_can_leave_a_graph_that_does_not_switch_again(self):
         # hub 3 meets all three cell vertices; after the switch it meets two,
         # so the result is cospectral but no switching graph for the partition
@@ -487,3 +499,59 @@ class TestPartitionVertices:
         assert part == SeidelPartition(((0, 1),), (2,))
         assert hash(part) == hash(SeidelPartition(((0, 1),), (2,)))
 
+    @pytest.mark.parametrize("cells, d, named", [
+        (((0, 0),), (1,), r"part \(0, 0\) repeats a vertex"),
+        (((0, 1), (2, 3, 2)), (), r"part \(2, 2, 3\) repeats a vertex"),
+        (((0, 1),), (2, 2), r"part \(2, 2\) repeats a vertex"),
+        # the overlaps of distinct parts keep their messages
+        (((0, 1), (1, 2)), (), r"cell \(1, 2\) overlaps another part"),
+        (((0, 1),), (1, 2), r"hub set D overlaps a cell"),
+    ])
+    def test_no_part_repeats_a_vertex(self, cells, d, named):
+        # a repeated vertex passed the set-based cover check: numpy then
+        # raised on reshape or take, switching_matrix was not unitary and
+        # block_seidel had one row too many
+        with pytest.raises(InvalidPartition, match=f"^{named}$"):
+            SeidelPartition(cells, d)
+
+
+@pytest.fixture
+def layout_builds(monkeypatch):
+    """How many `switching._Layout`s, and how many of their `blocks`, were
+    built during the test."""
+    built = {"layout": 0, "blocks": 0}
+    init, blocks = switching._Layout.__init__, switching._Layout.blocks.func
+
+    def counted_init(self, *args):
+        built["layout"] += 1
+        init(self, *args)
+
+    def counted_blocks(self):
+        built["blocks"] += 1
+        return blocks(self)
+
+    prop = functools.cached_property(counted_blocks)
+    prop.__set_name__(switching._Layout, "blocks")
+    monkeypatch.setattr(switching._Layout, "__init__", counted_init)
+    monkeypatch.setattr(switching._Layout, "blocks", prop)
+    return built
+
+
+class TestLayoutOnce:
+    """A partition builds its layout once, and the layout its diagonal blocks."""
+
+    def test_one_switch(self, layout_builds):
+        doc = load_fixture("fig2")
+        switch(doc.graph(), doc.partition, verify=True)
+        assert layout_builds == {"layout": 1, "blocks": 1}
+
+    def test_validate_starlike_then_lq_switch(self, layout_builds):
+        doc = load_fixture("fig4_left")
+        g, part = doc.graph(), doc.partition
+        profiles = validate_starlike(g, part)
+        for kind in SpectralKind:
+            lq_switch(g, part, kind)
+        lq_switch(WeightedDigraph.from_adjacency(adjacency_matrix(g)), part,
+                  SpectralKind.LAPLACIAN, force=True)
+        assert layout_builds == {"layout": 1, "blocks": 1}
+        assert g._facts["starlike", part] == tuple(profiles)  # the profiles, nothing else
