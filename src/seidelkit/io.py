@@ -207,8 +207,8 @@ def _text_path(text: str) -> tuple[int, np.ndarray, dict] | None:
     end = text.rfind("]", start, None if quote < 0 else quote)
     if end < 0:
         return None
-    try:  # the tail ends an object that opens with a key no reader reads
-        fields = json.loads('{"":0' + text[end + 1:])
+    try:  # a key no reader reads, and a value that no token continues (0 would: ".5}")
+        fields = json.loads('{"":null' + text[end + 1:])
     except (ValueError, RecursionError):  # the walk raises it, or an earlier fault
         return None
     if "order" in fields or "edges" in fields:  # json.loads keeps the last value

@@ -89,23 +89,22 @@ def validate_starlike(g: WeightedDigraph, part: SeidelPartition) -> list[Starlik
     Each call returns a new list.
     """
     recorded = g._facts.get(("starlike", part))
-    return list(_starlike(g, part) if recorded is None else recorded)
+    return list(_starlike(g, part)[0] if recorded is None else recorded)
 
 
 def _starlike(g: WeightedDigraph, part: SeidelPartition) -> tuple:
     """Run the checks of `validate_starlike`; return the cell profiles, which
-    g records."""
-    table, blocks = _checked(g, part), part._layout
-    k, m, sizes = len(part.cells), blocks.m, blocks.sizes
-    cell_of = blocks.cell_of
+    g records, and the diagonal-block indices of the check (`_checked`)."""
+    table, lay = _checked(g, part), part._layout
+    k, m, sizes, cell_of = len(part.cells), lay.m, lay.sizes, lay.cell_of
     # every edge lies in a diagonal block, a hub row or column, or joins two cells
     a = adjacency_matrix(g)
     if np.count_nonzero(a) > table.nonzero_inside + np.add.reduce(table.w != 0, axis=None):
-        cells = blocks.perm[:m]
+        cells = lay.perm[:m]
         cross = (a[cells[:, None], cells] != 0) & (cell_of[:, None] != cell_of)
         rows, cols = np.nonzero(cross)
         j = np.lexsort((cols, rows, cell_of[cols], cell_of[rows]))[0]
-        u, v = blocks.perm[rows[j]], blocks.perm[cols[j]]
+        u, v = lay.perm[rows[j]], lay.perm[cols[j]]
         i, i2 = cell_of[rows[j]], cell_of[cols[j]]
         raise CrossCellEdge(f"edge ({u}, {v}) joins cell {i} to cell {i2}")
 
@@ -116,7 +115,7 @@ def _starlike(g: WeightedDigraph, part: SeidelPartition) -> tuple:
     reference = np.zeros(m, dtype=bool)
     if cat2.shape[1]:
         reference = table.attached[np.arange(m), cat2.argmax(axis=1)[cell_of]]
-    overlap = np.add.reduceat(table.attached & reference[:, None], blocks.starts, axis=0)
+    overlap = np.add.reduceat(table.attached & reference[:, None], lay.starts, axis=0)
     same, flipped = cat2 & (2 * overlap == sizes[:, None]), cat2 & (overlap == 0)
     p, q, r, stray, n_same, n_flipped = np.add.reduce(
         np.concatenate((kinds, [cat2 & ~(same | flipped), same, flipped])), axis=2)
@@ -133,12 +132,12 @@ def _starlike(g: WeightedDigraph, part: SeidelPartition) -> tuple:
     faults = (nonzero & (zero | (hi != -neg_lo))).reshape(4, k)
 
     def nonuniform(error, c, direction, i):
-        s, n, hubs = blocks.starts[i], sizes[i], kinds[c - 1, i]
+        s, n, hubs = lay.starts[i], sizes[i], kinds[c - 1, i]
         values = table.w[direction][s : s + n, hubs][table.attached[s : s + n, hubs]]
         return error(f"cell {i}: weights {np.unique(values).tolist()} are not uniform")
 
     def not_halves(i):
-        s, n = blocks.starts[i], sizes[i]
+        s, n = lay.starts[i], sizes[i]
         halves = len(np.unique(table.attached[s : s + n, cat2[i]].T, axis=0))
         return NonComplementaryHalves(f"cell {i}: category-2 vertices use {halves} distinct halves"
                                       if halves != 2 else
@@ -157,7 +156,7 @@ def _starlike(g: WeightedDigraph, part: SeidelPartition) -> tuple:
     profiles = tuple(map(StarlikeCellProfile, range(k), *weights.tolist(), p.tolist(), q.tolist(),
                          r.tolist()))
     g._facts["starlike", part] = profiles
-    return profiles
+    return profiles, table.inside
 
 
 def lift_graph(g: WeightedDigraph, kind: SpectralKind) -> WeightedDigraph:
@@ -224,13 +223,14 @@ def lq_switch(
     switch of a symmetric A is exactly symmetric (`switching`), so G' is
     never scanned.
     """
+    inside = None
     if ("starlike", part) not in g._facts:  # else a check passed, on a cover of g
         if force:
             part.check_cover(g.order)
         else:
-            _starlike(g, part)
+            inside = _starlike(g, part)[1]
     _require_symmetric_weights(g)
-    result = _switched(g, part)
+    result = _switched(g, part, inside)
     if force or verify:
         _verify_switch(spectral_matrix(g, kind), spectral_matrix(result, kind), part)
     return result

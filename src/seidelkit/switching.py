@@ -219,8 +219,8 @@ def flip_half_pattern(x: Sequence[float]) -> np.ndarray:
 class _Layout:
     """The partition order of a vertex set: the cells as consecutive blocks,
     then D, so that every per-cell quantity of a matrix in this order is one
-    `reduceat` over whole rows or columns, from `starts`. A partition builds
-    its own once (`SeidelPartition._layout`), and the layout its `blocks`.
+    `reduceat` over whole rows or columns, from `starts`. A partition keeps
+    its own (`SeidelPartition._layout`): O(n) arrays, so `blocks` is built per call.
     `cells` and `d` are vertex sequences that cover 0..n-1; a cell of one
     vertex behaves like a vertex of D, since U_1 = I.
     """
@@ -236,7 +236,6 @@ class _Layout:
         self.part_of = np.empty(len(part), dtype=np.intp)  # of each vertex
         self.part_of[self.perm] = part
 
-    @functools.cached_property
     def blocks(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
         """The diagonal blocks of the parts, the cells and then D (if any):
         the row and column vertex of each entry, block by block and row by
@@ -252,10 +251,12 @@ class _Layout:
         return rows, cols, seg, starts
 
 
-def _conjugated(a: np.ndarray, lay: _Layout, top: float, symmetric: bool = False) -> np.ndarray:
+def _conjugated(a: np.ndarray, lay: _Layout, top: float, symmetric: bool = False,
+                inside: np.ndarray | None = None) -> np.ndarray:
     """U A U for a square matrix A with max |entry| `top` and a layout that
     covers it, in A's own vertex order. `symmetric` says that A is exactly
-    symmetric, so its row sums over a cell are its column sums.
+    symmetric, so its row sums over a cell are its column sums. `inside`
+    is None or the flat indices of the diagonal blocks that `_checked` gave.
 
     Only rows are permuted: the work runs on A with its rows in partition
     order and its columns in vertex order, which every per-cell row sum
@@ -298,15 +299,16 @@ def _conjugated(a: np.ndarray, lay: _Layout, top: float, symmetric: bool = False
     np.multiply(q, np.abs(q, out=result) > _bound(EXACT_TOL, top), out=q)
     q += 0.0
     result[perm] = q
-    inside = np.ravel_multi_index(lay.blocks[:2], result.shape)
+    if inside is None:
+        inside = np.ravel_multi_index(lay.blocks()[:2], result.shape)
     result.put(inside, a.take(inside))
     return result
 
 
 def _checked(g: WeightedDigraph, part: SeidelPartition) -> SimpleNamespace:
-    """Run the checks of `validate_seidel`; return the hub table. Only the
-    diagonal blocks and the hub rows and columns of A are read, in A's own
-    vertex order: A is not permuted here."""
+    """Run the checks of `validate_seidel`; return the hub table, and `inside`
+    for `_conjugated`. Only the diagonal blocks and the hub rows and columns
+    of A are read, in A's own vertex order: A is not permuted here."""
     part.check_cover(g.order)
     lay = part._layout
     a, n, m, perm, d = g._adjacency, g.order, lay.m, lay.perm, part.d_cell
@@ -314,8 +316,8 @@ def _checked(g: WeightedDigraph, part: SeidelPartition) -> SimpleNamespace:
     # (column) sums are the sums of its rows (columns) over its own vertices.
     # Its block is gathered row by row, then column by column, so that each
     # sum is one segment of one reduceat, added in partition order.
-    rows, cols, seg, starts = lay.blocks
-    entries = a.take(np.concatenate((rows * n + cols, cols * n + rows)))
+    rows, cols, seg, starts = lay.blocks()
+    entries = a.take(np.concatenate((inside := rows * n + cols, cols * n + rows)))
     # absolute then signed, row sums then column sums: a (4, n) table
     segments = (seg + np.arange(0, 2 * len(entries), len(rows))[:, None]).ravel()
     sums = np.add.reduceat(np.concatenate((np.abs(entries), entries)), segments).reshape(4, n)
@@ -339,7 +341,7 @@ def _checked(g: WeightedDigraph, part: SeidelPartition) -> SimpleNamespace:
         lo=np.minimum.reduceat(np.where(nonzero, w, np.inf), lay.starts, axis=1),
         # categories 1, 2, 3: attached to all, half, none; any other count is in none
         kinds=count == sizes * np.array([1.0, 0.5, 0.0])[:, None, None],
-        nonzero_inside=np.add.reduce(entries[: len(rows)] != 0),  # of the diagonal blocks
+        inside=inside, nonzero_inside=np.add.reduce(entries[: len(rows)] != 0),
     )
 
     def fault(error, text, direction, j):
@@ -396,13 +398,12 @@ def _verify_switch(m: np.ndarray, switched: np.ndarray, part: SeidelPartition) -
             f"switched matrix deviates from U M U by {deviation[i, j]:.3e} at ({i}, {j})")
 
 
-def _switched(g: WeightedDigraph, part: SeidelPartition) -> WeightedDigraph:
-    """The switch of g, for a partition that covers it. The switch of an exactly
-    symmetric A is exactly symmetric, so a symmetric g hands its symmetry to
-    the result, which is then not scanned; any other result is scanned."""
+def _switched(g: WeightedDigraph, part: SeidelPartition, inside=None) -> WeightedDigraph:
+    """The switch of g, for a partition that covers it (`inside`: `_conjugated`). The
+    switch of a symmetric A is exactly symmetric, so that result is never scanned."""
     symmetric = g.is_symmetric()
-    return WeightedDigraph._of(_conjugated(g._adjacency, part._layout, g._top, symmetric),
-                               symmetric or None)
+    return WeightedDigraph._of(
+        _conjugated(g._adjacency, part._layout, g._top, symmetric, inside), symmetric or None)
 
 
 def switch(g: WeightedDigraph, part: SeidelPartition, verify: bool = False) -> WeightedDigraph:
@@ -414,8 +415,7 @@ def switch(g: WeightedDigraph, part: SeidelPartition, verify: bool = False) -> W
     result against the dense U A U under the tolerance rule of `graph`,
     which proves cospectrality; meant for tests, not production runs.
     """
-    _checked(g, part)
-    result = _switched(g, part)
+    result = _switched(g, part, _checked(g, part).inside)
     if verify:
         _verify_switch(adjacency_matrix(g), adjacency_matrix(result), part)
     return result

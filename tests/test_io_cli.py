@@ -347,6 +347,11 @@ TEXT_PATH_CASES = [
     '{"order": 2, "edges": [[0, 1, 1.0]], "": 5, "metadata": {"": 1}}',
     '{"order": 2, "edges": [[0, 1, 1.0]], "metadata": {"n": [1}}',
     '{"order": 2, "edges": [[0, 1, 1.0]], "metadata": NaN}',
+    # tails that would continue a number
+    '{"order": 2, "edges": [[0, 1, 1.0]].5}',
+    '{"order": 2, "edges": [[0, 1, 1.0]]e5}',
+    '{"order": 2, "edges": [[0, 1, 1.0]]E+1, "metadata": {}}',
+    '{"order": 2, "edges": [[0, 1, 1.0]]0}',
     # JSON whitespace of every kind
     '{\r\n\t"order": 2,\r\n\t"edges": [\r\n\t\t[0,\t1,\t1.0],\r\n\t\t[1, 0, 2E+1]\r\n\t]\r\n}\r\n',
     '{"order": 2, "edges": [[0, 1, 1.0],[1, 0, 2.0]]}',

@@ -1,7 +1,5 @@
 """Switching operators, block transforms and the full graph switch."""
 
-import functools
-
 import numpy as np
 import pytest
 from conftest import (
@@ -520,7 +518,7 @@ def layout_builds(monkeypatch):
     """How many `switching._Layout`s, and how many of their `blocks`, were
     built during the test."""
     built = {"layout": 0, "blocks": 0}
-    init, blocks = switching._Layout.__init__, switching._Layout.blocks.func
+    init, blocks = switching._Layout.__init__, switching._Layout.blocks
 
     def counted_init(self, *args):
         built["layout"] += 1
@@ -530,19 +528,23 @@ def layout_builds(monkeypatch):
         built["blocks"] += 1
         return blocks(self)
 
-    prop = functools.cached_property(counted_blocks)
-    prop.__set_name__(switching._Layout, "blocks")
     monkeypatch.setattr(switching._Layout, "__init__", counted_init)
-    monkeypatch.setattr(switching._Layout, "blocks", prop)
+    monkeypatch.setattr(switching._Layout, "blocks", counted_blocks)
     return built
 
 
 class TestLayoutOnce:
-    """A partition builds its layout once, and the layout its diagonal blocks."""
+    """A partition builds its layout once and keeps it; a call builds the
+    diagonal blocks once, and frees them."""
 
     def test_one_switch(self, layout_builds):
         doc = load_fixture("fig2")
         switch(doc.graph(), doc.partition, verify=True)
+        assert layout_builds == {"layout": 1, "blocks": 1}
+
+    def test_one_lq_switch_that_checks(self, layout_builds):
+        doc = load_fixture("fig4_left")
+        lq_switch(doc.graph(), doc.partition, SpectralKind.LAPLACIAN)
         assert layout_builds == {"layout": 1, "blocks": 1}
 
     def test_validate_starlike_then_lq_switch(self, layout_builds):
@@ -553,5 +555,13 @@ class TestLayoutOnce:
             lq_switch(g, part, kind)
         lq_switch(WeightedDigraph.from_adjacency(adjacency_matrix(g)), part,
                   SpectralKind.LAPLACIAN, force=True)
-        assert layout_builds == {"layout": 1, "blocks": 1}
+        assert layout_builds == {"layout": 1, "blocks": 4}  # one per call
         assert g._facts["starlike", part] == tuple(profiles)  # the profiles, nothing else
+
+    def test_the_kept_layout_is_linear_in_the_order(self):
+        g = WeightedDigraph.from_adjacency(np.zeros((40, 40)))
+        part = SeidelPartition((tuple(range(30)),), tuple(range(30, 40)))
+        switch(g, part)
+        kept = [np.size(x) for v in vars(part._layout).values()
+                for x in (v if isinstance(v, tuple) else (v,))]
+        assert max(kept) <= g.order + 1  # no index per diagonal-block entry
