@@ -267,11 +267,12 @@ def fresh(g: WeightedDigraph) -> WeightedDigraph:
 
 
 def mutated(rng, g: WeightedDigraph) -> WeightedDigraph:
-    """g with one random entry set to a small integer weight (0 deletes an
-    edge), mirrored when g is symmetric; many such graphs fail a check."""
+    """g with one random entry set to another small integer weight in 0..3
+    (0 deletes an edge), mirrored when g is symmetric; many such graphs fail
+    a check. The entry always changes."""
     a = np.array(adjacency_matrix(g))
     u, v = rng.integers(0, g.order, 2)
-    a[u, v] = float(rng.integers(0, 4))
+    a[u, v] = rng.choice([w for w in (0.0, 1.0, 2.0, 3.0) if w != a[u, v]])
     if g.is_symmetric():
         a[v, u] = a[u, v]
     return WeightedDigraph.from_adjacency(a)

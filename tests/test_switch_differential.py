@@ -3,8 +3,10 @@ outcomes of every switching entry point, checked against
 `tests/data/switch_differential.json`.
 
 The inputs are conftest draws, each as drawn, symmetrized (A + A^T) and with
-one mutated entry. They are dyadic (power-of-two cells, small integer
-weights), so every result is exact in float64 whatever the summation order,
+one mutated entry, then benchmark-shaped draws of `bench/generators.py`
+(read, never changed here), each as drawn and with one mutated entry. They
+are dyadic (power-of-two cells, small integer weights), so every result is
+exact in float64 whatever the summation order,
 and its bytes do not depend on the platform or the BLAS build. An outcome is
 a result's bytes (and, for a graph, `is_symmetric()`), or a domain error's
 type and message; eigenvalues and documents are left out. Each entry also
@@ -18,13 +20,16 @@ outcomes on purpose regenerates the file and says which digests moved:
 """
 
 import hashlib
+import importlib.util
 import json
+import sys
 from pathlib import Path
 
 import numpy as np
 from conftest import fresh, mutated, random_seidel_instance, random_starlike_instance
 
 from seidelkit import (
+    SeidelPartition,
     SpectralKind,
     WeightedDigraph,
     adjacency_matrix,
@@ -43,9 +48,27 @@ DRAWS = 60  # per generator; three inputs each
 L, Q = SpectralKind.LAPLACIAN, SpectralKind.SIGNLESS
 
 
+def _bench_generators():
+    """`bench/generators.py`, loaded from its file without importing bench."""
+    path = Path(__file__).parents[1] / "bench" / "generators.py"
+    spec = importlib.util.spec_from_file_location("bench_generators", path)
+    module = sys.modules[spec.name] = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+gen = _bench_generators()
+# (generator, order, draws): asymmetric adj-docs graphs with cross blocks,
+# partial incoming category-1 weights and cells of 64, and starlike
+# lq-states graphs at orders whose cells are all powers of two; two inputs each
+BENCH_DRAWS = ((gen.adj_instance, 72, 6), (gen.adj_instance, 144, 6),
+               (gen.lq_instance, 32, 4), (gen.lq_instance, 64, 4), (gen.lq_instance, 96, 4))
+
+
 def inputs():
-    """(graph, partition) pairs: each draw as drawn, symmetrized and with one
-    mutated entry."""
+    """(graph, partition) pairs: each conftest draw as drawn, symmetrized and
+    with one mutated entry; then each benchmark-shaped draw as drawn and with
+    one mutated entry."""
     rng, mutations = np.random.default_rng(SEED), np.random.default_rng(SEED + 1)
     for _ in range(DRAWS):
         for draw in (random_seidel_instance, random_starlike_instance):
@@ -53,6 +76,13 @@ def inputs():
             a = adjacency_matrix(g)
             yield g, part
             yield WeightedDigraph.from_adjacency(a + a.T), part
+            yield mutated(mutations, g), part
+    for make, order, count in BENCH_DRAWS:
+        for _ in range(count):
+            inst = make(rng, order)
+            assert all(len(c) & (len(c) - 1) == 0 for c in inst.cells), "a cell is not dyadic"
+            g, part = WeightedDigraph.from_adjacency(inst.a), SeidelPartition(inst.cells, inst.d)
+            yield g, part
             yield mutated(mutations, g), part
 
 
