@@ -67,15 +67,19 @@ def _within(x, tol: float, scale) -> np.ndarray:
     return np.abs(x) <= _bound(tol, _top(scale))
 
 
-def _symmetric(m: np.ndarray) -> bool:
-    """m == m.T under the tolerance rule with EXACT_TOL.
+def _exactly_symmetric(m: np.ndarray) -> bool:
+    """m == m.T entry for entry, as np.array_equal(m, m.T) decides it (a NaN
+    equals nothing). Row 0 is compared with column 0 first, so an asymmetric
+    matrix is almost always decided without the full comparison."""
+    return not len(m) or bool(np.logical_and.reduce(m[0] == m[:, 0])
+                              and np.logical_and.reduce(m == m.T, axis=None))
 
-    An exactly symmetric finite matrix passes on one comparison; the rule
-    runs only when that fails. Row 0 is compared with column 0 first, so
-    an asymmetric matrix is almost always sent to the rule without the
-    full comparison. A non-finite entry fails the rule, as it always did."""
-    if (len(m) and np.logical_and.reduce(m[0] == m[:, 0])
-            and np.logical_and.reduce(m == m.T, axis=None) and np.isfinite(m).all()):
+
+def _symmetric(m: np.ndarray) -> bool:
+    """m == m.T under the tolerance rule with EXACT_TOL, which runs only when
+    `_exactly_symmetric` fails or m holds a non-finite entry; such an entry
+    fails the rule, as it always did."""
+    if _exactly_symmetric(m) and np.isfinite(m).all():
         return True
     return bool(_within(m - m.T, EXACT_TOL, m).all())
 
@@ -129,7 +133,7 @@ class WeightedDigraph:
     strictly positive, and every weight is finite.
 
     Whether the weights are symmetric is decided when the graph is built,
-    by one exact scan, or handed over by the switch that built it (see
+    by `_exactly_symmetric`, or handed over by the switch that built it (see
     `switching`); so is max |w|, the scale of the tolerance rule, in one
     pass that also finds a non-finite weight. Since the graph never
     changes, it also remembers, per partition, the cell profiles of a
@@ -161,7 +165,7 @@ class WeightedDigraph:
         )
         a = _frozen(a)
         if symmetric is None:
-            symmetric = bool(np.array_equal(a, a.T))
+            symmetric = _exactly_symmetric(a)
         for name, value in (("order", len(a)), ("_adjacency", a), ("_symmetric", symmetric),
                             ("_top", float(top)), ("_edges", None), ("_facts", {})):
             object.__setattr__(self, name, value)

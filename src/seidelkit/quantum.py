@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import NotPSD, NotSymmetric, ZeroTrace
+from .errors import InvalidGraph, NotPSD, NotSymmetric, ZeroTrace
 from .graph import EXACT_TOL, NUMERIC_TOL, WeightedDigraph, _eigvalsh, _frozen, _square
 from .starlike import SpectralKind, spectral_matrix
 
@@ -79,16 +79,20 @@ def density_from_graph(g: WeightedDigraph, kind: SpectralKind) -> DensityMatrix:
     """Trace-normalized Laplacian or signless Laplacian of a graph.
 
     Raises ZeroTrace for an edgeless loopless graph, AsymmetricWeights when
-    the Laplacian is undefined, and NotPSD if normalization produced an
-    indefinite matrix. The Laplacian exists only for symmetric weights and
-    is then exactly symmetric, so the state M / tr M is a new array with no
-    symmetry check. Its spectrum is spectrum(M) / tr M, where spectrum(M) is
-    the one recorded with g by `spectral_matrix`: solved here only if no
+    the Laplacian is undefined, InvalidGraph when the degrees sum past the
+    float range, and NotPSD if normalization produced an indefinite matrix.
+    The Laplacian exists only for symmetric weights and is then exactly
+    symmetric, so the state M / tr M is a new array with no symmetry check.
+    Its spectrum is spectrum(M) / tr M, where spectrum(M) is the one
+    recorded with g by `spectral_matrix`: solved here only if no
     `cospectral` or earlier state of g and kind solved it. The trace and PSD
     checks of `DensityMatrix` run as for any state.
     """
     m = spectral_matrix(g, kind)
-    trace = float(m.trace())
+    with np.errstate(over="ignore"):
+        trace = float(m.trace())
+    if not np.isfinite(trace):  # every degree is finite: `spectral_matrix` checked
+        raise InvalidGraph("the degrees of the graph sum past the float range")
     if trace <= 0.0:
         raise ZeroTrace("graph has no edges or loops, so the trace is zero")
     return DensityMatrix._of_symmetric(m / trace, lambda: _eigvalsh(m) / trace)

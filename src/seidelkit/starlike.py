@@ -89,12 +89,12 @@ def validate_starlike(g: WeightedDigraph, part: SeidelPartition) -> list[Starlik
     Each call returns a new list.
     """
     recorded = g._facts.get(("starlike", part))
-    return list(_starlike(g, part)[0] if recorded is None else recorded)
+    return list(_starlike(g, part) if recorded is None else recorded)
 
 
-def _starlike(g: WeightedDigraph, part: SeidelPartition) -> tuple:
+def _starlike(g: WeightedDigraph, part: SeidelPartition) -> tuple[StarlikeCellProfile, ...]:
     """Run the checks of `validate_starlike`; return the cell profiles, which
-    g records, and the diagonal-block indices of the check (`_checked`)."""
+    g records."""
     table, lay = _checked(g, part), part._layout
     k, m, sizes, cell_of = len(part.cells), lay.m, lay.sizes, lay.cell_of
     # every edge lies in a diagonal block, a hub row or column, or joins two cells
@@ -156,7 +156,7 @@ def _starlike(g: WeightedDigraph, part: SeidelPartition) -> tuple:
     profiles = tuple(map(StarlikeCellProfile, range(k), *weights.tolist(), p.tolist(), q.tolist(),
                          r.tolist()))
     g._facts["starlike", part] = profiles
-    return profiles, table.inside
+    return profiles
 
 
 def lift_graph(g: WeightedDigraph, kind: SpectralKind) -> WeightedDigraph:
@@ -217,20 +217,19 @@ def lq_switch(
     starlike validation and certifies M(G') = U M U, as verify=True does; a
     forced switch that is not L/Q-cospectral raises VerificationFailed.
     Without force, the starlike validation runs unless `validate_starlike`
-    already passed on g and an equal partition. The switch reads the
-    partition order that the partition builds once, and permutes A once. G'
-    takes the switched matrix without a copy, and is born symmetric: the
-    switch of a symmetric A is exactly symmetric (`switching`), so G' is
-    never scanned.
+    already passed on g and an equal partition; the switch takes nothing
+    from it but its verdict. The switch reads the partition order that the
+    partition builds once, and permutes A once. G' takes the switched matrix
+    without a copy, and is born symmetric: the switch of a symmetric A is
+    exactly symmetric (`switching`), so G' is never scanned.
     """
-    inside = None
     if ("starlike", part) not in g._facts:  # else a check passed, on a cover of g
         if force:
             part.check_cover(g.order)
         else:
-            inside = _starlike(g, part)[1]
+            _starlike(g, part)
     _require_symmetric_weights(g)
-    result = _switched(g, part, inside)
+    result = _switched(g, part)
     if force or verify:
         _verify_switch(spectral_matrix(g, kind), spectral_matrix(result, kind), part)
     return result

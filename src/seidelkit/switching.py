@@ -220,7 +220,7 @@ class _Layout:
     """The partition order of a vertex set: the cells as consecutive blocks,
     then D, so that every per-cell quantity of a matrix in this order is one
     `reduceat` over whole rows or columns, from `starts`. A partition keeps
-    its own (`SeidelPartition._layout`): O(n) arrays, so `blocks` is built per call.
+    its own (`SeidelPartition._layout`), which holds O(n) arrays only.
     `cells` and `d` are vertex sequences that cover 0..n-1; a cell of one
     vertex behaves like a vertex of D, since U_1 = I.
     """
@@ -236,34 +236,19 @@ class _Layout:
         self.part_of = np.empty(len(part), dtype=np.intp)  # of each vertex
         self.part_of[self.perm] = part
 
-    def blocks(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-        """The diagonal blocks of the parts, the cells and then D (if any):
-        the row and column vertex of each entry, block by block and row by
-        row in partition order; where each position's row starts among
-        them; and where each part starts among the positions."""
-        d = len(self.perm) - self.m
-        parts = np.concatenate((self.sizes, [d])) if d else self.sizes
-        starts = parts.cumsum() - parts
-        size = parts.repeat(parts)  # of the part of each position
-        seg = size.cumsum() - size
-        rows = self.perm.repeat(size)
-        cols = self.perm[np.arange(len(rows)) - (seg - starts.repeat(parts)).repeat(size)]
-        return rows, cols, seg, starts
 
-
-def _conjugated(a: np.ndarray, lay: _Layout, top: float, symmetric: bool = False,
-                inside: np.ndarray | None = None) -> np.ndarray:
+def _conjugated(a: np.ndarray, lay: _Layout, top: float, symmetric: bool = False) -> np.ndarray:
     """U A U for a square matrix A with max |entry| `top` and a layout that
     covers it, in A's own vertex order. `symmetric` says that A is exactly
-    symmetric, so its row sums over a cell are its column sums. `inside`
-    is None or the flat indices of the diagonal blocks that `_checked` gave.
+    symmetric, so its row sums over a cell are its column sums.
 
     Only rows are permuted: the work runs on A with its rows in partition
     order and its columns in vertex order, which every per-cell row sum
     reads in partition order, so every entry is computed as in partition
     order. The result, a second n x n array, first holds the intermediate
-    sums. No other n x n array is made, but for the cell columns of an
-    asymmetric A."""
+    sums. No other n x n float array is made, but for the cell columns of
+    an asymmetric A; the snap and the copy-back each make one n x n
+    boolean mask, the copy-back's that of the same-part pairs."""
     m, sizes, starts, perm = lay.m, lay.sizes, lay.starts, lay.perm
     if not m:
         return a.copy()
@@ -295,29 +280,33 @@ def _conjugated(a: np.ndarray, lay: _Layout, top: float, symmetric: bool = False
     # snap rounding residues, as the module docstring says: a product
     # with the keep mask, plus 0.0 for the -0.0 that a negative residue
     # leaves; the diagonal blocks, cell interiors and D x D, are copied
-    # from A afterwards
+    # from A afterwards, wherever the row and column share a part
     np.multiply(q, np.abs(q, out=result) > _bound(EXACT_TOL, top), out=q)
     q += 0.0
     result[perm] = q
-    if inside is None:
-        inside = np.ravel_multi_index(lay.blocks()[:2], result.shape)
-    result.put(inside, a.take(inside))
+    np.copyto(result, a, where=part_of[:, None] == part_of)
     return result
 
 
 def _checked(g: WeightedDigraph, part: SeidelPartition) -> SimpleNamespace:
-    """Run the checks of `validate_seidel`; return the hub table, and `inside`
-    for `_conjugated`. Only the diagonal blocks and the hub rows and columns
-    of A are read, in A's own vertex order: A is not permuted here."""
+    """Run the checks of `validate_seidel`; return the hub table. Only the
+    diagonal blocks and the hub rows and columns of A are read, in A's own
+    vertex order: A is not permuted here."""
     part.check_cover(g.order)
     lay = part._layout
     a, n, m, perm, d = g._adjacency, g.order, lay.m, lay.perm, part.d_cell
-    # (b) for all parts at once, the cells and then D: a part's interior row
-    # (column) sums are the sums of its rows (columns) over its own vertices.
-    # Its block is gathered row by row, then column by column, so that each
-    # sum is one segment of one reduceat, added in partition order.
-    rows, cols, seg, starts = lay.blocks()
-    entries = a.take(np.concatenate((inside := rows * n + cols, cols * n + rows)))
+    # (b) for all parts at once, the cells and then D (if any): a part's
+    # interior row (column) sums are the sums of its rows (columns) over its
+    # own vertices. Its block is gathered row by row, then column by column,
+    # so that each sum is one segment of one reduceat, added in partition
+    # order: `seg` starts each position's entries, `starts` each part's positions.
+    parts = np.concatenate((lay.sizes, [n - m])) if n > m else lay.sizes
+    starts = parts.cumsum() - parts
+    size = parts.repeat(parts)  # of the part of each position
+    seg = size.cumsum() - size
+    rows = perm.repeat(size)
+    cols = perm[np.arange(len(rows)) - (seg - starts.repeat(parts)).repeat(size)]
+    entries = a.take(np.concatenate((rows * n + cols, cols * n + rows)))
     # absolute then signed, row sums then column sums: a (4, n) table
     segments = (seg + np.arange(0, 2 * len(entries), len(rows))[:, None]).ravel()
     sums = np.add.reduceat(np.concatenate((np.abs(entries), entries)), segments).reshape(4, n)
@@ -341,7 +330,7 @@ def _checked(g: WeightedDigraph, part: SeidelPartition) -> SimpleNamespace:
         lo=np.minimum.reduceat(np.where(nonzero, w, np.inf), lay.starts, axis=1),
         # categories 1, 2, 3: attached to all, half, none; any other count is in none
         kinds=count == sizes * np.array([1.0, 0.5, 0.0])[:, None, None],
-        inside=inside, nonzero_inside=np.add.reduce(entries[: len(rows)] != 0),
+        nonzero_inside=np.add.reduce(entries[: len(rows)] != 0),
     )
 
     def fault(error, text, direction, j):
@@ -398,12 +387,12 @@ def _verify_switch(m: np.ndarray, switched: np.ndarray, part: SeidelPartition) -
             f"switched matrix deviates from U M U by {deviation[i, j]:.3e} at ({i}, {j})")
 
 
-def _switched(g: WeightedDigraph, part: SeidelPartition, inside=None) -> WeightedDigraph:
-    """The switch of g, for a partition that covers it (`inside`: `_conjugated`). The
+def _switched(g: WeightedDigraph, part: SeidelPartition) -> WeightedDigraph:
+    """The switch of g, for a partition that covers it; no check runs. The
     switch of a symmetric A is exactly symmetric, so that result is never scanned."""
     symmetric = g.is_symmetric()
     return WeightedDigraph._of(
-        _conjugated(g._adjacency, part._layout, g._top, symmetric, inside), symmetric or None)
+        _conjugated(g._adjacency, part._layout, g._top, symmetric), symmetric or None)
 
 
 def switch(g: WeightedDigraph, part: SeidelPartition, verify: bool = False) -> WeightedDigraph:
@@ -415,7 +404,8 @@ def switch(g: WeightedDigraph, part: SeidelPartition, verify: bool = False) -> W
     result against the dense U A U under the tolerance rule of `graph`,
     which proves cospectrality; meant for tests, not production runs.
     """
-    result = _switched(g, part, _checked(g, part).inside)
+    _checked(g, part)
+    result = _switched(g, part)
     if verify:
         _verify_switch(adjacency_matrix(g), adjacency_matrix(result), part)
     return result

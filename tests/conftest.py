@@ -228,10 +228,14 @@ def eigensolves(monkeypatch):
 
 @pytest.fixture
 def symmetry_scans(monkeypatch):
-    """The matrices a graph scanned for its symmetry during the test."""
+    """The matrices `graph._exactly_symmetric` compared with their transposes
+    during the test: a graph's at its birth, unless its symmetry was handed
+    over, and any that the tolerance rule of `graph._symmetric` tested."""
+    from seidelkit import graph
+
     scans = []
-    monkeypatch.setattr(np, "array_equal",
-                        lambda a, b, f=np.array_equal: scans.append(a) or f(a, b))
+    monkeypatch.setattr(graph, "_exactly_symmetric",
+                        lambda m, f=graph._exactly_symmetric: scans.append(m) or f(m))
     return scans
 
 

@@ -69,6 +69,14 @@ class TestDocuments:
         with pytest.raises(ParseError, match="order"):
             loads_document('{"edges": []}')
 
+    @pytest.mark.parametrize("text, named", [
+        ('{"order": 2, "edges": 5}', "edges must be a list of [u, v, weight] entries"),
+        ("[1]", "top level must be an object"),
+    ])
+    def test_a_document_of_another_shape_is_a_parse_error(self, text, named):
+        with pytest.raises(ParseError, match=f"^<string>: {re.escape(named)}$"):
+            loads_document(text)
+
     def test_zero_weight_rejected(self):
         with pytest.raises(ParseError, match="zero weight"):
             loads_document('{"order": 2, "edges": [[0, 1, 0.0]]}')
@@ -376,6 +384,13 @@ class TestTextPath:
     def test_the_text_path_reads_as_the_walk(self, text):
         assert_read_as_walked(text)
 
+    def test_a_character_past_ascii_in_the_edge_list_is_walked(self, walks):
+        # the text path declines, and the walk names the fault
+        text = '{"order": 2, "edges": [[0,\u00a01, 1.0]]}'
+        with pytest.raises(ParseError, match="^<string>: line 1: Expecting value"):
+            loads_document(text)
+        assert walks == [text]
+
     def test_mutated_documents_read_as_the_walk(self, walks):
         failed, by_text = read_mutated_as_walked(walks)
         assert failed > 150 and by_text > 60  # 213 and 94 of 300
@@ -496,6 +511,16 @@ class TestCli:
         assert main(["validate", fixture_file("fig4_left", tmp_path)]) == 0
         out = capsys.readouterr().out
         assert "starlike: valid" in out
+
+    def test_validate_reports_a_failed_seidel_check(self, tmp_path, capsys):
+        path = tmp_path / "hub.graph"
+        write_document(GraphDocument.from_graph(
+            WeightedDigraph.from_edges(4, [(3, 0, 1.0)]),
+            partition=SeidelPartition(cells=((0, 1, 2),), d_cell=(3,))), path)
+        assert main(["validate", str(path)]) == 1
+        assert capsys.readouterr().out.endswith(
+            "seidel: INVALID (BadAdjacencyCount: hub 3 is adjacent to 1 vertices of cell 0; "
+            "allowed counts are 0 or 3)\n")
 
     def test_validate_needs_partition(self, tmp_path, capsys):
         assert main(["validate", fixture_file("k2", tmp_path)]) == 2
@@ -622,6 +647,12 @@ class TestCli:
 
     def test_strength_scan_usage_error(self, capsys):
         assert main(["strength-scan", "--max-order", "3"]) == 2
+
+    def test_strength_scan_file_reports_its_rows(self, tmp_path, capsys):
+        path = tmp_path / "scan.csv"
+        assert main(["strength-scan", "--max-order", "6", "--out", str(path)]) == 0
+        rows = len(path.read_text().splitlines()) - 1  # below the header
+        assert capsys.readouterr().out == f"wrote {path} ({rows} rows)\n"
 
     def test_strength_scan_deterministic_file(self, tmp_path):
         a, b = tmp_path / "a.csv", tmp_path / "b.csv"

@@ -29,7 +29,7 @@ from seidelkit import (
     von_neumann_entropy,
 )
 from seidelkit import graph
-from seidelkit.errors import NotPSD, NotSymmetric, ZeroTrace
+from seidelkit.errors import InvalidGraph, NotPSD, NotSymmetric, ZeroTrace
 
 K2 = WeightedDigraph.from_edges(2, [(0, 1, 1.0), (1, 0, 1.0)])
 P3 = WeightedDigraph.from_edges(3, [(0, 1, 1), (1, 0, 1), (1, 2, 1), (2, 1, 1)])
@@ -52,6 +52,16 @@ class TestDensityFromGraph:
     def test_empty_graph_zero_trace(self):
         with pytest.raises(ZeroTrace):
             density_from_graph(WeightedDigraph(3), SpectralKind.LAPLACIAN)
+
+    @pytest.mark.parametrize("kind", list(SpectralKind))
+    def test_degrees_that_sum_past_the_float_range_are_an_invalid_graph(self, kind):
+        # every degree is 1e308 and the trace 4e308: not a zero trace, and
+        # no overflow warning under the suite's filterwarnings = error
+        a = np.zeros((4, 4))
+        a[0, 1] = a[1, 0] = a[2, 3] = a[3, 2] = 1e308
+        g = WeightedDigraph.from_adjacency(a)
+        with pytest.raises(InvalidGraph, match="^the degrees of the graph sum past the float range"):
+            density_from_graph(g, kind)
 
     def test_equals_the_validated_state(self, rng):
         # density_from_graph skips the copy and the symmetry check; the state

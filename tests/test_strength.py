@@ -89,6 +89,9 @@ class TestRealignment:
     def test_cnot_rank_two(self):
         assert realignment_rank(CNOT_BLOCK, Bipartition(2, 2)) == 2
 
+    def test_the_zero_matrix_has_rank_zero(self):
+        assert realignment_rank(np.zeros((4, 4)), Bipartition(2, 2)) == 0
+
     def test_bad_bipartition(self):
         with pytest.raises(BadBipartition):
             realignment(seidel_matrix(6), Bipartition(2, 2))

@@ -282,6 +282,25 @@ class TestValidateSeidel:
         with pytest.raises(NotRegularInduced):
             switch(g, part)
 
+    @pytest.mark.parametrize("interior", [
+        # signed row sums 0, absolute ones 4, 2, 2, 4
+        [[0, 1, 1, -2], [1, 0, -1, 0], [1, -1, 0, 0], [-2, 0, 0, 2]],
+        # every row sums to 1, the columns to 0, 2, 1 and 1
+        [[0, 1, 0, 0], [0, 1, 0, 0], [0, 0, 0, 1], [0, 0, 1, 0]],
+    ], ids=["absolute", "columns"])
+    @pytest.mark.parametrize("part, where", [
+        (SeidelPartition(cells=((0, 1, 2, 3),), d_cell=(4, 5)), "cell 0"),
+        (SeidelPartition(cells=((4, 5),), d_cell=(0, 1, 2, 3)), "D"),
+    ], ids=["cell", "D"])
+    def test_absolute_and_column_sums_must_be_regular(self, interior, part, where):
+        a = np.zeros((6, 6))
+        a[:4, :4] = interior
+        g = WeightedDigraph.from_adjacency(a)
+        named = f"^induced subgraph on {where} is not regular$"
+        for f in (validate_seidel, switch):
+            with pytest.raises(NotRegularInduced, match=named):
+                f(g, part)
+
     @pytest.mark.parametrize(
         "edges, error, where",
         [
@@ -309,6 +328,13 @@ class TestValidateSeidel:
 
 
 class TestSwitch:
+    def test_a_partition_without_cells_switches_to_an_equal_graph(self):
+        triangle = WeightedDigraph.from_adjacency(np.ones((3, 3)) - np.eye(3))
+        part = SeidelPartition((), (0, 1, 2))
+        assert switch(triangle, part) == triangle
+        assert all(lq_switch(triangle, part, kind) == triangle for kind in SpectralKind)
+        assert validate_starlike(triangle, part) == []
+
     def test_complete_graph_fixed(self):
         g = complete_graph(4)
         part = SeidelPartition(cells=(tuple(range(4)),))
@@ -504,6 +530,8 @@ class TestPartitionVertices:
         # the overlaps of distinct parts keep their messages
         (((0, 1), (1, 2)), (), r"cell \(1, 2\) overlaps another part"),
         (((0, 1),), (1, 2), r"hub set D overlaps a cell"),
+        # and so does a cell too small to switch
+        (((0,),), (1,), r"cell \(0,\) has fewer than 2 vertices"),
     ])
     def test_no_part_repeats_a_vertex(self, cells, d, named):
         # a repeated vertex passed the set-based cover check: numpy then
@@ -515,37 +543,30 @@ class TestPartitionVertices:
 
 @pytest.fixture
 def layout_builds(monkeypatch):
-    """How many `switching._Layout`s, and how many of their `blocks`, were
-    built during the test."""
-    built = {"layout": 0, "blocks": 0}
-    init, blocks = switching._Layout.__init__, switching._Layout.blocks
+    """How many `switching._Layout`s were built during the test."""
+    built = {"layout": 0}
+    init = switching._Layout.__init__
 
     def counted_init(self, *args):
         built["layout"] += 1
         init(self, *args)
 
-    def counted_blocks(self):
-        built["blocks"] += 1
-        return blocks(self)
-
     monkeypatch.setattr(switching._Layout, "__init__", counted_init)
-    monkeypatch.setattr(switching._Layout, "blocks", counted_blocks)
     return built
 
 
 class TestLayoutOnce:
-    """A partition builds its layout once and keeps it; a call builds the
-    diagonal blocks once, and frees them."""
+    """A partition builds its layout once and keeps it."""
 
     def test_one_switch(self, layout_builds):
         doc = load_fixture("fig2")
         switch(doc.graph(), doc.partition, verify=True)
-        assert layout_builds == {"layout": 1, "blocks": 1}
+        assert layout_builds == {"layout": 1}
 
     def test_one_lq_switch_that_checks(self, layout_builds):
         doc = load_fixture("fig4_left")
         lq_switch(doc.graph(), doc.partition, SpectralKind.LAPLACIAN)
-        assert layout_builds == {"layout": 1, "blocks": 1}
+        assert layout_builds == {"layout": 1}
 
     def test_validate_starlike_then_lq_switch(self, layout_builds):
         doc = load_fixture("fig4_left")
@@ -555,7 +576,7 @@ class TestLayoutOnce:
             lq_switch(g, part, kind)
         lq_switch(WeightedDigraph.from_adjacency(adjacency_matrix(g)), part,
                   SpectralKind.LAPLACIAN, force=True)
-        assert layout_builds == {"layout": 1, "blocks": 4}  # one per call
+        assert layout_builds == {"layout": 1}
         assert g._facts["starlike", part] == tuple(profiles)  # the profiles, nothing else
 
     def test_the_kept_layout_is_linear_in_the_order(self):
