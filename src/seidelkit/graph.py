@@ -15,6 +15,15 @@ computes in a few operations (symmetry, row sums, equal weights, traces, a
 switch against U A U). NUMERIC_TOL = 1e-9 is for anything an eigensolver or
 an SVD computes (spectra, realizability, the PSD floor, unitarity, the rank
 cut at 1e-9 * s_max) and is every `tol` default.
+
+Finite entries may sum past the float range, so every site that sums or
+subtracts entries runs on A 2^-s: s >= 0 is the least exponent that keeps
+its sums in range (`_shift`, from max |entry| and the number of terms). The
+result is multiplied back by 2^s (`_scaled`), where an overflow becomes inf
+and the site raises its domain error. Scaling by a power of two is exact and
+commutes with the switch and with spectra: s = 0 at any ordinary scale, so
+A itself is read, and past it the result is that of the scaled input, but
+for entries below 2^(s - 1022), which lose bits to subnormal rounding.
 """
 
 from __future__ import annotations
@@ -62,6 +71,20 @@ def _top(x):
                       -np.minimum.reduce(x, axis=None, initial=0.0))
 
 
+def _shift(top, terms: int) -> int:
+    """The least s >= 0 for which `terms` entries of at most top * 2^-s, both
+    rounded up to powers of two, sum under 2^1023; 0 for a non-finite top."""
+    return max(0, math.frexp(top)[1] + (terms - 1).bit_length() - 1023)
+
+
+def _scaled(x, s: int):
+    """x * 2^s, exactly; x itself for s = 0, and inf with no warning past the float range."""
+    if not s:
+        return x
+    with np.errstate(over="ignore"):
+        return np.ldexp(x, s)
+
+
 def _within(x, tol: float, scale) -> np.ndarray:
     """Elementwise |x| <= tol * (1 + max |entry| of scale): the tolerance rule."""
     return np.abs(x) <= _bound(tol, _top(scale))
@@ -81,7 +104,10 @@ def _symmetric(m: np.ndarray) -> bool:
     fails the rule, as it always did."""
     if _exactly_symmetric(m) and np.isfinite(m).all():
         return True
-    return bool(_within(m - m.T, EXACT_TOL, m).all())
+    top = _top(m)
+    s = _shift(top, 2)
+    m = _scaled(m, -s)
+    return bool(np.isfinite(top) and (np.abs(m - m.T) <= _bound(EXACT_TOL, _scaled(top, -s))).all())
 
 
 def _square(m) -> np.ndarray:
@@ -272,23 +298,27 @@ def adjacency_matrix(g: WeightedDigraph) -> np.ndarray:
 
 def degree_matrix(g: WeightedDigraph) -> np.ndarray:
     """Diagonal matrix of degrees d_i = sum_j |a_ij| (loops counted once)."""
-    return np.diag(np.abs(g._adjacency).sum(axis=1))
+    return np.diag(_degrees(g, np.abs(g._adjacency)))
+
+
+def _degrees(g: WeightedDigraph, m: np.ndarray, combine=np.add, loops=0.0) -> np.ndarray:
+    """combine(d, loops) for the row sums d of m = |A|; InvalidGraph past the float range."""
+    s = _shift(g._top, g.order + 1)
+    d = _scaled(combine(np.add.reduce(_scaled(m, -s), axis=1), _scaled(loops, -s)), s)
+    finite = np.isfinite(d)
+    if not finite.all():
+        raise InvalidGraph(f"the weights at vertex {int(finite.argmin())} sum past the float range")
+    return d
 
 
 def _with_degrees(g: WeightedDigraph, combine) -> np.ndarray:
     """combine(degree_matrix(g), A), combine being np.subtract or np.add, in
     one n x n array, which first holds |A| for the degree sums; off the
-    diagonal combine(0.0, a) is what the dense Deg gives, -0.0 included.
-    Finite weights may sum past the float range: that vertex is an
-    InvalidGraph, not an overflow warning."""
+    diagonal combine(0.0, a) is what the dense Deg gives, -0.0 included."""
     _require_symmetric_weights(g)
     a = g._adjacency
     m = np.abs(a)
-    with np.errstate(over="ignore"):
-        diagonal = combine(np.add.reduce(m, axis=1), a.diagonal())  # as m.sum(axis=1)
-    finite = np.isfinite(diagonal)
-    if not finite.all():
-        raise InvalidGraph(f"the weights at vertex {int(finite.argmin())} sum past the float range")
+    diagonal = _degrees(g, m, combine, a.diagonal())
     combine(0.0, a, out=m)
     m.flat[:: a.shape[0] + 1] = diagonal
     return m
@@ -320,7 +350,10 @@ def spectrum(m: np.ndarray) -> np.ndarray:
     m = _square(m)
     if not _symmetric(m):
         raise NotSymmetric(f"matrix is not symmetric within {EXACT_TOL:g} (1 + max |entry|)")
-    return np.linalg.eigvalsh(m)
+    w = np.linalg.eigvalsh(m)  # LAPACK scales m itself; only an eigenvalue may overflow
+    if not np.isfinite(w).all():
+        raise InvalidGraph("an eigenvalue of the matrix passes the float range")
+    return w
 
 
 def _tie(m: np.ndarray, g: WeightedDigraph, key) -> np.ndarray:
@@ -466,14 +499,20 @@ def spectral_gap(a: np.ndarray, b: np.ndarray, tol: float = NUMERIC_TOL) -> floa
     eigenvalue picks up in floating point. The gap is infinite when a cluster
     holds unequal numbers of eigenvalues of a and of b, and else the largest
     distance between their means over a cluster: a cluster mean is well
-    conditioned even where its members are not.
+    conditioned even where its members are not. A non-finite entry raises
+    InvalidGraph.
 
     Above order 500, when the environment pins BLAS to t threads and the
     process may run on at least 2t CPUs, the two spectra are solved
     concurrently, each by its own LAPACK call on the same input; otherwise
     one after the other. The results are identical either way.
     """
-    return _gap(*_spectra(a, b), tol)
+    a, b = _square(a), _square(b)
+    top = np.maximum(_top(a), _top(b))
+    if not np.isfinite(top):
+        raise InvalidGraph("a matrix entry is not finite")
+    s = _shift(top, 2 * len(a) ** 2)  # a cluster sum of `_gap` adds 2n eigenvalues of n top
+    return float(_scaled(_gap(*_spectra(_scaled(a, -s), _scaled(b, -s)), tol), s))
 
 
 def cospectral(a: np.ndarray, b: np.ndarray, tol: float = NUMERIC_TOL) -> bool:

@@ -15,6 +15,7 @@ import numpy as np
 
 from .errors import InvalidGraph, NotPSD, NotSymmetric, ZeroTrace
 from .graph import EXACT_TOL, NUMERIC_TOL, WeightedDigraph, _eigvalsh, _frozen, _square
+from .graph import _scaled, _shift, _top
 from .starlike import SpectralKind, spectral_matrix
 
 
@@ -26,8 +27,8 @@ class DensityMatrix:
     numpy refuses to make writable again, so the spectrum solved once for
     the PSD check stays valid for `eigenvalues`. Symmetry allows
     |m_ij - m_ji| <= EXACT_TOL, the trace |tr - 1| <= EXACT_TOL and the least
-    eigenvalue -NUMERIC_TOL; a NaN entry fails the symmetry check, before
-    any eigensolver runs.
+    eigenvalue -NUMERIC_TOL; a non-finite entry fails the symmetry check,
+    before any eigensolver runs.
     """
 
     matrix: np.ndarray
@@ -36,10 +37,13 @@ class DensityMatrix:
     def __post_init__(self):
         m = _frozen(np.array(_square(self.matrix)))
         object.__setattr__(self, "matrix", m)
-        # written so that NaN fails: NaN != NaN, and no comparison with NaN holds
-        if not ((m == m.T).all() or np.max(np.abs(m - m.T), initial=0.0) <= EXACT_TOL):
+        top = _top(m)
+        s = _shift(top, len(m) + 1)  # for m - m.T and the trace
+        x = _scaled(m, -s)
+        if not np.isfinite(top) or not (
+                (m == m.T).all() or np.max(np.abs(x - x.T), initial=0.0) <= _scaled(EXACT_TOL, -s)):
             raise NotSymmetric(f"density matrix must be symmetric within {EXACT_TOL:g}")
-        self._solve()
+        self._solve(s=s)
 
     @classmethod
     def _of_symmetric(cls, m: np.ndarray, solve) -> "DensityMatrix":
@@ -51,9 +55,9 @@ class DensityMatrix:
         rho._solve(solve)
         return rho
 
-    def _solve(self, solve=None) -> None:
+    def _solve(self, solve=None, s: int = 0) -> None:
         m = self.matrix
-        trace = float(m.trace())
+        trace = float(_scaled(_scaled(m.diagonal(), -s).sum(), s))
         if not -EXACT_TOL <= trace - 1.0 <= EXACT_TOL:
             raise ZeroTrace(f"trace must be 1, got {trace}")
         spectrum = np.linalg.eigvalsh(m) if solve is None else solve()
@@ -89,8 +93,8 @@ def density_from_graph(g: WeightedDigraph, kind: SpectralKind) -> DensityMatrix:
     checks of `DensityMatrix` run as for any state.
     """
     m = spectral_matrix(g, kind)
-    with np.errstate(over="ignore"):
-        trace = float(m.trace())
+    s = _shift(g._top, g.order * (g.order + 1))  # each diagonal entry is at most (n + 1) max |w|
+    trace = float(_scaled(_scaled(m.diagonal(), -s).sum(), s))
     if not np.isfinite(trace):  # every degree is finite: `spectral_matrix` checked
         raise InvalidGraph("the degrees of the graph sum past the float range")
     if trace <= 0.0:

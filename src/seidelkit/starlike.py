@@ -31,8 +31,8 @@ from .errors import (
     raise_first,
 )
 from .graph import (
-    NUMERIC_TOL, WeightedDigraph, _require_symmetric_weights, _tie, _within, adjacency_matrix,
-    laplacian, signless_laplacian,
+    NUMERIC_TOL, WeightedDigraph, _require_symmetric_weights, _scaled, _shift, _tie, _within,
+    adjacency_matrix, laplacian, signless_laplacian,
 )
 from .switching import SeidelPartition, _checked, _switched, _verify_switch
 from .switching import validate_seidel  # noqa: F401  kept importable from this module
@@ -180,24 +180,26 @@ def project_graph(h: WeightedDigraph, kind: SpectralKind) -> WeightedDigraph:
     Laplacian case: off-diagonals flip sign and no loop can contribute to
     the diagonal (a positive loop adds |l| to the degree and cancels against
     itself), so a_ii must equal the off-diagonal absolute row sum exactly
-    and G' is loopless.
+    and G' is loopless. The sums run on A(H) 2^-s (see `_shift`).
     """
     _require_symmetric_weights(h)
+    s = _shift(h._top, h.order + 1)
     m = adjacency_matrix(h)
     sign = 1.0 if kind is SpectralKind.SIGNLESS else -1.0
     diag = np.diagonal(m)
     out = sign * m + 0.0  # + 0.0 turns the -0.0 of sign * 0.0 into 0.0
     np.fill_diagonal(out, 0.0)
-    off_sums = np.abs(out).sum(axis=1)
+    m, off = _scaled(m, -s), np.abs(_scaled(out, -s)).sum(axis=1)
+    excess = _scaled(diag, -s) - off
     if kind is SpectralKind.SIGNLESS:
-        loops = (diag - off_sums) / 2.0
+        loops = excess / 2.0
         small = _within(loops, NUMERIC_TOL, m)
         raise_first((~small & (loops < 0), lambda v: NegativeLoopWeight(
-            f"vertex {v}: diagonal {diag[v]} below off-diagonal sum {off_sums[v]}")))
-        np.fill_diagonal(out, np.where(small, 0.0, loops))
+            f"vertex {v}: diagonal {diag[v]} below off-diagonal sum {_scaled(off[v], s)}")))
+        np.fill_diagonal(out, np.where(small, 0.0, _scaled(loops, s)))
     else:
-        raise_first((~_within(diag - off_sums, NUMERIC_TOL, m), lambda v: NotRealizable(
-            f"vertex {v}: diagonal {diag[v]} != off-diagonal absolute sum {off_sums[v]}")))
+        raise_first((~_within(excess, NUMERIC_TOL, m), lambda v: NotRealizable(
+            f"vertex {v}: diagonal {diag[v]} != off-diagonal absolute sum {_scaled(off[v], s)}")))
     return WeightedDigraph.from_adjacency(out)
 
 

@@ -55,6 +55,7 @@ from .errors import (
     raise_first,
 )
 from .graph import EXACT_TOL, WeightedDigraph, _bound, _top, _within, adjacency_matrix
+from .graph import _scaled, _shift
 
 
 @dataclass(frozen=True)
@@ -188,13 +189,17 @@ def switch_cross_block(a: np.ndarray) -> np.ndarray:
     code on a two-cell matrix holding A.
     """
     a = np.asarray(a, dtype=float)
+    top = _top(a)
+    if a.ndim != 2 or not a.size or not np.isfinite(top):
+        raise NonConstantRowSum(f"need a nonempty finite m x n block, got shape {a.shape}")
     m, n = a.shape
-    row_sums = a.sum(axis=1)
+    s = _shift(top, 2 * a.size)
+    row_sums = _scaled(a, -s).sum(axis=1)
     if not _within(row_sums - row_sums.mean(), EXACT_TOL, row_sums).all():
-        raise NonConstantRowSum(f"row sums vary: {row_sums}")
+        raise NonConstantRowSum(f"row sums vary: {_scaled(row_sums, s)}")
     full = np.zeros((m + n, m + n))
     full[:m, m:] = a
-    return _conjugated(full, _Layout((range(m), range(m, m + n)), ()), _top(a))[:m, m:]
+    return _conjugated(full, _Layout((range(m), range(m, m + n)), ()), top)[:m, m:]
 
 
 def flip_half_pattern(x: Sequence[float]) -> np.ndarray:
@@ -208,7 +213,7 @@ def flip_half_pattern(x: Sequence[float]) -> np.ndarray:
     if x.ndim != 1 or len(x) % 2 != 0:
         raise NotHalfAndHalf(f"need an even-length vector, got shape {x.shape}")
     nonzero = x[x != 0]
-    if len(nonzero) != len(x) // 2 or len(set(nonzero.tolist())) != 1:
+    if len(nonzero) != len(x) // 2 or len(set(nonzero.tolist())) != 1 or not np.isfinite(x).all():
         raise NotHalfAndHalf("vector is not half zeros and half one repeated constant")
     n = len(x)
     full = np.zeros((n + 1, n + 1))
@@ -253,7 +258,9 @@ def _conjugated(a: np.ndarray, lay: _Layout, top: float, symmetric: bool = False
     if not m:
         return a.copy()
     cells, hubs, cell_of, part_of = perm[:m], perm[m:], lay.cell_of, lay.part_of
-    q = a.take(perm, axis=0)
+    s = _shift(top, max(2 * len(a), 9))  # no sum passes 2n top, no entry 9 top
+    x = _scaled(a, -s)
+    q = x.take(perm, axis=0)
     # twice the mean of each row over each cell, and of each column
     cols2 = 2.0 * np.add.reduceat(q[:m], starts, axis=0) / sizes[:, None]
     # cross blocks; half[i, j] = 2 S_ij / (m_i n_j), as the module docstring says
@@ -262,7 +269,7 @@ def _conjugated(a: np.ndarray, lay: _Layout, top: float, symmetric: bool = False
         row_sums = np.add.reduceat(rows2[:m], starts, axis=0)
         col_sums = row_sums.T
     else:
-        rows2 = (2.0 * np.add.reduceat(a.take(cells, axis=1), starts, axis=1) / sizes)[perm]
+        rows2 = (2.0 * np.add.reduceat(x.take(cells, axis=1), starts, axis=1) / sizes)[perm]
         row_sums = np.add.reduceat(rows2[:m], starts, axis=0)
         col_sums = np.add.reduceat(cols2[:, cells], starts, axis=1)
     half = (row_sums / sizes[:, None] + col_sums / sizes) / 2.0
@@ -271,8 +278,8 @@ def _conjugated(a: np.ndarray, lay: _Layout, top: float, symmetric: bool = False
     # D columns take the values of the last cell here; they are recomputed below
     (rows2[:m] - half.repeat(sizes, axis=0)).take(part_of, axis=1, out=both, mode="clip")
     col_part = cols2 - half.take(part_of, axis=1, mode="clip")
-    for s, n, c in zip(starts.tolist(), sizes.tolist(), col_part):
-        both[s : s + n] += c  # no second m x n array
+    for start, n, c in zip(starts.tolist(), sizes.tolist(), col_part):
+        both[start : start + n] += c  # no second m x n array
     hub_columns = q[:m, hubs]
     q[:m] -= both
     q[:m, hubs] = cols2[:, hubs][cell_of] - hub_columns
@@ -281,9 +288,9 @@ def _conjugated(a: np.ndarray, lay: _Layout, top: float, symmetric: bool = False
     # with the keep mask, plus 0.0 for the -0.0 that a negative residue
     # leaves; the diagonal blocks, cell interiors and D x D, are copied
     # from A afterwards, wherever the row and column share a part
-    np.multiply(q, np.abs(q, out=result) > _bound(EXACT_TOL, top), out=q)
+    np.multiply(q, np.abs(q, out=result) > _bound(EXACT_TOL, _scaled(top, -s)), out=q)
     q += 0.0
-    result[perm] = q
+    result[perm] = _scaled(q, s)
     np.copyto(result, a, where=part_of[:, None] == part_of)
     return result
 
@@ -295,6 +302,7 @@ def _checked(g: WeightedDigraph, part: SeidelPartition) -> SimpleNamespace:
     part.check_cover(g.order)
     lay = part._layout
     a, n, m, perm, d = g._adjacency, g.order, lay.m, lay.perm, part.d_cell
+    s = _shift(g._top, 2 * n)  # for the sums below, and hi - lo of the hub table
     # (b) for all parts at once, the cells and then D (if any): a part's
     # interior row (column) sums are the sums of its rows (columns) over its
     # own vertices. Its block is gathered row by row, then column by column,
@@ -309,7 +317,8 @@ def _checked(g: WeightedDigraph, part: SeidelPartition) -> SimpleNamespace:
     entries = a.take(np.concatenate((rows * n + cols, cols * n + rows)))
     # absolute then signed, row sums then column sums: a (4, n) table
     segments = (seg + np.arange(0, 2 * len(entries), len(rows))[:, None]).ravel()
-    sums = np.add.reduceat(np.concatenate((np.abs(entries), entries)), segments).reshape(4, n)
+    sums = np.add.reduceat(_scaled(np.concatenate((np.abs(entries), entries)), -s),
+                           segments).reshape(4, n)
     extremes = np.maximum.reduceat(np.concatenate((sums, -sums)), starts, axis=1)
     hi, neg_lo = extremes.reshape(2, 4, -1)
     irregular = np.logical_or.reduce(hi + neg_lo > _bound(EXACT_TOL, np.maximum(hi, neg_lo)))
@@ -342,7 +351,8 @@ def _checked(g: WeightedDigraph, part: SeidelPartition) -> SimpleNamespace:
 
     spans = table.kinds[1] & (table.present > 0)  # half-attached, with edges this way
     partial = spans & (table.present < count)
-    uneven = spans & (table.hi - table.lo > _bound(EXACT_TOL, np.maximum(table.hi, -table.lo)))
+    hi, lo = _scaled(table.hi, -s), _scaled(table.lo, -s)
+    uneven = spans & (hi - lo > _bound(EXACT_TOL, np.maximum(hi, -lo)))
     checks = [(~np.logical_or.reduce(table.kinds), lambda j: fault(BadAdjacencyCount,
         "hub {v} is adjacent to {count} vertices of cell {i}; allowed counts are {allowed}", 0, j))]
     for k, name in enumerate(("outgoing", "incoming")):
@@ -379,12 +389,13 @@ def _verify_switch(m: np.ndarray, switched: np.ndarray, part: SeidelPartition) -
     U M U for the partition's operator U, under the tolerance rule with
     EXACT_TOL; U is orthogonal, so this proves equal spectra with no eigensolver."""
     u = switching_matrix(part, len(m))
-    expected = u @ m @ u
-    deviation = np.abs(switched - expected)
+    s = _shift(np.maximum(_top(m), _top(switched)), 16)  # |U| has row sums under 3
+    expected = u @ _scaled(m, -s) @ u
+    deviation = np.abs(_scaled(switched, -s) - expected)
     i, j = np.unravel_index(np.argmax(deviation), deviation.shape)
     if not _within(deviation[i, j], EXACT_TOL, expected):
-        raise VerificationFailed(
-            f"switched matrix deviates from U M U by {deviation[i, j]:.3e} at ({i}, {j})")
+        raise VerificationFailed(f"switched matrix deviates from U M U by "
+                                 f"{_scaled(deviation[i, j], s):.3e} at ({i}, {j})")
 
 
 def _switched(g: WeightedDigraph, part: SeidelPartition) -> WeightedDigraph:

@@ -121,9 +121,13 @@ class TestIsLocal:
         assert not is_local(u, Bipartition(2, 3))
         assert not is_local(u, Bipartition(3, 2))
 
-    def test_not_unitary(self):
+    # a NaN fails every comparison, and an entry past 1 would overflow u.T @ u
+    @pytest.mark.parametrize("u", [np.ones((4, 4)), np.full((4, 4), np.nan),
+                                   np.full((4, 4), 1.5e308)])
+    @pytest.mark.parametrize("f", [is_local, schmidt_coefficients])
+    def test_not_unitary(self, u, f):
         with pytest.raises(NotUnitary):
-            is_local(np.ones((4, 4)), Bipartition(2, 2))
+            f(u, Bipartition(2, 2))
 
 
 class TestSchmidtCoefficients:

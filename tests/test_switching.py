@@ -161,9 +161,15 @@ class TestCrossBlockTransform:
         assert np.max(np.abs(switch_cross_block(b) - expected)) < 1e-12
         assert not np.allclose(switch_cross_block(b), b)
 
-    def test_non_constant_row_sum(self):
+    # an empty block, a block that is not a matrix and a non-finite one are
+    # refused as the function's own error
+    @pytest.mark.parametrize("a", [np.array([[1.0, 0.0], [0.0, 2.0]]), np.ones(3),
+                                   np.ones((2, 2, 2)), np.ones((0, 3)), np.ones((3, 0)),
+                                   np.array([[np.nan, 0.0], [0.0, 1.0]]),
+                                   np.array([[np.inf, 0.0], [0.0, 1.0]])])
+    def test_non_constant_row_sum(self, a):
         with pytest.raises(NonConstantRowSum):
-            switch_cross_block(np.array([[1.0, 0.0], [0.0, 2.0]]))
+            switch_cross_block(a)
 
     def test_matches_explicit_conjugation(self, rng):
         for _ in range(100):
@@ -187,9 +193,10 @@ class TestFlipHalfPattern:
         with pytest.raises(NotHalfAndHalf):
             flip_half_pattern([1, 1, 0])
 
-    def test_mixed_values(self):
+    @pytest.mark.parametrize("x", [[1, 2, 0, 0], [np.nan, 0.0], [np.inf, 0.0], [-np.inf, 0.0]])
+    def test_mixed_values(self, x):
         with pytest.raises(NotHalfAndHalf):
-            flip_half_pattern([1, 2, 0, 0])
+            flip_half_pattern(x)
 
     def test_wrong_split(self):
         with pytest.raises(NotHalfAndHalf):
