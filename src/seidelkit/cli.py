@@ -16,8 +16,8 @@ from .errors import ParseError, SeidelKitError
 from .graph import (
     EXACT_TOL,
     NUMERIC_TOL,
-    _gap,
-    _spectra,
+    _compared,
+    _scaled,
     adjacency_matrix,
     brute_force_isomorphic,
     cospectral,
@@ -110,10 +110,10 @@ def cmd_switch(args) -> int:
     else:
         sys.stdout.write(io.dumps_document(out_doc))
     if args.verify:
-        s_in, s_out = _spectra(KIND_MATRIX[args.kind](g), KIND_MATRIX[args.kind](result))
-        print(f"spectrum in : {_fmt(s_in)}")
-        print(f"spectrum out: {_fmt(s_out)}")
-        print(f"max spectral gap: {_gap(s_in, s_out, args.tol):.3e}")
+        gap, s, _, s_in, s_out = _compared(*map(KIND_MATRIX[args.kind], (g, result)), args.tol)
+        print(f"spectrum in : {_fmt(_scaled(s_in, s))}")
+        print(f"spectrum out: {_fmt(_scaled(s_out, s))}")
+        print(f"max spectral gap: {_scaled(gap, s):.3e}")
     return 0
 
 

@@ -17,13 +17,12 @@ an SVD computes (spectra, realizability, the PSD floor, unitarity, the rank
 cut at 1e-9 * s_max) and is every `tol` default.
 
 Finite entries may sum past the float range, so every site that sums or
-subtracts entries runs on A 2^-s: s >= 0 is the least exponent that keeps
-its sums in range (`_shift`, from max |entry| and the number of terms). The
-result is multiplied back by 2^s (`_scaled`), where an overflow becomes inf
-and the site raises its domain error. Scaling by a power of two is exact and
-commutes with the switch and with spectra: s = 0 at any ordinary scale, so
-A itself is read, and past it the result is that of the scaled input, but
-for entries below 2^(s - 1022), which lose bits to subnormal rounding.
+subtracts entries runs on A 2^-s, s >= 0 the least exponent that keeps its
+sums in range (`_down`), and multiplies the result back by 2^s (`_scaled`);
+an overflow there is inf, and the site raises its domain error. Tolerance
+bounds keep the units of A: the 1 of tol * (1 + top) is 2^-s there. Scaling
+by a power of two is exact and commutes with the switch and with spectra;
+s = 0 at any ordinary scale, where A itself is read.
 """
 
 from __future__ import annotations
@@ -60,9 +59,9 @@ ISO_SEARCH_LIMIT = 12
 _CONCURRENT_ORDER = 500
 
 
-def _bound(tol: float, top):
-    """tol * (1 + top): the bound of the tolerance rule, for top = max |entry|."""
-    return tol * (1.0 + top)
+def _bound(tol: float, top, s: int = 0):
+    """tol * (1 + top), the tolerance rule's bound for top = max |entry|, in units of 2^s."""
+    return tol * (2.0**-s + top)
 
 
 def _top(x):
@@ -71,23 +70,22 @@ def _top(x):
                       -np.minimum.reduce(x, axis=None, initial=0.0))
 
 
-def _shift(top, terms: int) -> int:
-    """The least s >= 0 for which `terms` entries of at most top * 2^-s, both
-    rounded up to powers of two, sum under 2^1023; 0 for a non-finite top."""
-    return max(0, math.frexp(top)[1] + (terms - 1).bit_length() - 1023)
+def _down(terms: int, *xs, top=None):
+    """(s, top, *xs) times 2^-s, s >= 0 least so `terms` entries of top (max |x|) sum in range."""
+    top = np.max([_top(x) for x in xs]) if top is None else top
+    s = max(0, math.frexp(top)[1] + (terms - 1).bit_length() - 1023)  # 0 for a non-finite top
+    return (s, _scaled(top, -s), *(_scaled(x, -s) for x in xs))
 
 
 def _scaled(x, s: int):
     """x * 2^s, exactly; x itself for s = 0, and inf with no warning past the float range."""
-    if not s:
-        return x
     with np.errstate(over="ignore"):
-        return np.ldexp(x, s)
+        return np.multiply(x, 2.0**s) if s else x
 
 
-def _within(x, tol: float, scale) -> np.ndarray:
-    """Elementwise |x| <= tol * (1 + max |entry| of scale): the tolerance rule."""
-    return np.abs(x) <= _bound(tol, _top(scale))
+def _within(x, tol: float, scale, s: int = 0) -> np.ndarray:
+    """Elementwise |x| <= tol * (1 + max |entry| of scale), in units of 2^s: the tolerance rule."""
+    return np.abs(x) <= _bound(tol, _top(scale), s)
 
 
 def _exactly_symmetric(m: np.ndarray) -> bool:
@@ -104,10 +102,8 @@ def _symmetric(m: np.ndarray) -> bool:
     fails the rule, as it always did."""
     if _exactly_symmetric(m) and np.isfinite(m).all():
         return True
-    top = _top(m)
-    s = _shift(top, 2)
-    m = _scaled(m, -s)
-    return bool(np.isfinite(top) and (np.abs(m - m.T) <= _bound(EXACT_TOL, _scaled(top, -s))).all())
+    s, top, x = _down(2, m)
+    return bool(np.isfinite(top) and (np.abs(x - x.T) <= _bound(EXACT_TOL, top, s)).all())
 
 
 def _square(m) -> np.ndarray:
@@ -303,11 +299,10 @@ def degree_matrix(g: WeightedDigraph) -> np.ndarray:
 
 def _degrees(g: WeightedDigraph, m: np.ndarray, combine=np.add, loops=0.0) -> np.ndarray:
     """combine(d, loops) for the row sums d of m = |A|; InvalidGraph past the float range."""
-    s = _shift(g._top, g.order + 1)
-    d = _scaled(combine(np.add.reduce(_scaled(m, -s), axis=1), _scaled(loops, -s)), s)
-    finite = np.isfinite(d)
-    if not finite.all():
-        raise InvalidGraph(f"the weights at vertex {int(finite.argmin())} sum past the float range")
+    s, _, m, loops = _down(g.order + 1, m, loops, top=g._top)
+    d = _scaled(combine(np.add.reduce(m, axis=1), loops), s)
+    raise_first((~np.isfinite(d), lambda v: InvalidGraph(
+        f"the weights at vertex {v} sum past the float range")))
     return d
 
 
@@ -463,25 +458,27 @@ def _solve_both(solve, a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.nda
     return sa, out[0]
 
 
-def _spectra(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Spectra of two square matrices of one order, for `_gap`: ascending and
-    real when both are symmetric, else complex and sorted by (real, imag).
-    A symmetric matrix from `spectral_matrix` is solved once per graph and
-    kind (see `_eigvalsh`)."""
+def _compared(a: np.ndarray, b: np.ndarray, tol: float) -> tuple:
+    """(gap, s, top, spectrum of a, of b) of square matrices of one order, in units of 2^s
+    (`_down`): ascending and real spectra when both are symmetric, else complex and sorted by
+    (real, imag); a symmetric `spectral_matrix` is solved once per graph and kind."""
     a, b = _square(a), _square(b)
     if a.shape != b.shape:
         raise OrderMismatch(f"orders differ: {a.shape[0]} vs {b.shape[0]}")
-    if _symmetric(a) and _symmetric(b):
-        return _solve_both(_eigvalsh, a, b)
-    return _solve_both(lambda m: np.sort_complex(np.linalg.eigvals(m)), a, b)
+    s, top, a, b = _down(2 * len(a) ** 2, a, b)  # a cluster sum adds 2n eigenvalues of n top
+    if not np.isfinite(top):
+        raise InvalidGraph("a matrix entry is not finite")
+    spectra = (_solve_both(_eigvalsh, a, b) if _symmetric(a) and _symmetric(b) else
+               _solve_both(lambda m: np.sort_complex(np.linalg.eigvals(m)), a, b))
+    return (_gap(*spectra, tol, s), s, top, *spectra)
 
 
-def _gap(sa: np.ndarray, sb: np.ndarray, tol: float) -> float:
-    """`spectral_gap` of two spectra as `_spectra` returns them."""
+def _gap(sa: np.ndarray, sb: np.ndarray, tol: float, s: int = 0) -> float:
+    """`spectral_gap` of two spectra as `_compared` has them, in units of 2^s."""
     if not np.iscomplexobj(sa):
         return float(np.abs(sa - sb).max(initial=0.0))
     z = np.concatenate([sa, sb])
-    labels = _clusters(z, np.sqrt(tol) * (1.0 + np.max(np.abs(z))))
+    labels = _clusters(z, _bound(np.sqrt(tol), np.max(np.abs(z)), s))
     side = np.repeat([1.0, -1.0], len(sa))  # +1 for the eigenvalues of a, -1 for b
     if np.any(np.bincount(labels, weights=side) != 0):
         return float("inf")
@@ -507,12 +504,7 @@ def spectral_gap(a: np.ndarray, b: np.ndarray, tol: float = NUMERIC_TOL) -> floa
     concurrently, each by its own LAPACK call on the same input; otherwise
     one after the other. The results are identical either way.
     """
-    a, b = _square(a), _square(b)
-    top = np.maximum(_top(a), _top(b))
-    if not np.isfinite(top):
-        raise InvalidGraph("a matrix entry is not finite")
-    s = _shift(top, 2 * len(a) ** 2)  # a cluster sum of `_gap` adds 2n eigenvalues of n top
-    return float(_scaled(_gap(*_spectra(_scaled(a, -s), _scaled(b, -s)), tol), s))
+    return float(_scaled(*_compared(a, b, tol)[:2]))
 
 
 def cospectral(a: np.ndarray, b: np.ndarray, tol: float = NUMERIC_TOL) -> bool:
@@ -524,8 +516,8 @@ def cospectral(a: np.ndarray, b: np.ndarray, tol: float = NUMERIC_TOL) -> bool:
     path. Large pairs may have their two spectra solved concurrently (see
     `spectral_gap`); the verdict is identical either way.
     """
-    a, b = _square(a), _square(b)
-    return bool(spectral_gap(a, b, tol) <= _bound(tol, np.maximum(_top(a), _top(b))))
+    gap, s, top, _, _ = _compared(a, b, tol)
+    return bool(gap <= _bound(tol, top, s))
 
 
 def _vertex_signature(a: np.ndarray, v: int) -> tuple:

@@ -15,7 +15,7 @@ import numpy as np
 
 from .errors import InvalidGraph, NotPSD, NotSymmetric, ZeroTrace
 from .graph import EXACT_TOL, NUMERIC_TOL, WeightedDigraph, _eigvalsh, _frozen, _square
-from .graph import _scaled, _shift, _top
+from .graph import _down, _scaled
 from .starlike import SpectralKind, spectral_matrix
 
 
@@ -37,11 +37,9 @@ class DensityMatrix:
     def __post_init__(self):
         m = _frozen(np.array(_square(self.matrix)))
         object.__setattr__(self, "matrix", m)
-        top = _top(m)
-        s = _shift(top, len(m) + 1)  # for m - m.T and the trace
-        x = _scaled(m, -s)
-        if not np.isfinite(top) or not (
-                (m == m.T).all() or np.max(np.abs(x - x.T), initial=0.0) <= _scaled(EXACT_TOL, -s)):
+        s, top, x = _down(len(m) + 1, m)  # for m - m.T and the trace
+        if not np.isfinite(top) or not ((m == m.T).all() or
+                np.max(np.abs(x - x.T), initial=0.0) <= _scaled(EXACT_TOL, -s)):
             raise NotSymmetric(f"density matrix must be symmetric within {EXACT_TOL:g}")
         self._solve(s=s)
 
@@ -93,8 +91,8 @@ def density_from_graph(g: WeightedDigraph, kind: SpectralKind) -> DensityMatrix:
     checks of `DensityMatrix` run as for any state.
     """
     m = spectral_matrix(g, kind)
-    s = _shift(g._top, g.order * (g.order + 1))  # each diagonal entry is at most (n + 1) max |w|
-    trace = float(_scaled(_scaled(m.diagonal(), -s).sum(), s))
+    s, _, d = _down(g.order * (g.order + 1), m.diagonal(), top=g._top)  # n of (n + 1) max |w|
+    trace = float(_scaled(d.sum(), s))
     if not np.isfinite(trace):  # every degree is finite: `spectral_matrix` checked
         raise InvalidGraph("the degrees of the graph sum past the float range")
     if trace <= 0.0:

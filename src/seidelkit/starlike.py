@@ -31,7 +31,7 @@ from .errors import (
     raise_first,
 )
 from .graph import (
-    NUMERIC_TOL, WeightedDigraph, _require_symmetric_weights, _scaled, _shift, _tie, _within,
+    NUMERIC_TOL, WeightedDigraph, _require_symmetric_weights, _down, _scaled, _tie, _within,
     adjacency_matrix, laplacian, signless_laplacian,
 )
 from .switching import SeidelPartition, _checked, _switched, _verify_switch
@@ -180,25 +180,24 @@ def project_graph(h: WeightedDigraph, kind: SpectralKind) -> WeightedDigraph:
     Laplacian case: off-diagonals flip sign and no loop can contribute to
     the diagonal (a positive loop adds |l| to the degree and cancels against
     itself), so a_ii must equal the off-diagonal absolute row sum exactly
-    and G' is loopless. The sums run on A(H) 2^-s (see `_shift`).
+    and G' is loopless. The sums run on A(H) 2^-s (see `_down`).
     """
     _require_symmetric_weights(h)
-    s = _shift(h._top, h.order + 1)
     m = adjacency_matrix(h)
     sign = 1.0 if kind is SpectralKind.SIGNLESS else -1.0
     diag = np.diagonal(m)
     out = sign * m + 0.0  # + 0.0 turns the -0.0 of sign * 0.0 into 0.0
     np.fill_diagonal(out, 0.0)
-    m, off = _scaled(m, -s), np.abs(_scaled(out, -s)).sum(axis=1)
-    excess = _scaled(diag, -s) - off
+    s, _, m, off, d = _down(h.order + 1, m, out, diag, top=h._top)
+    off = np.abs(off).sum(axis=1)
     if kind is SpectralKind.SIGNLESS:
-        loops = excess / 2.0
-        small = _within(loops, NUMERIC_TOL, m)
+        loops = (d - off) / 2.0
+        small = _within(loops, NUMERIC_TOL, m, s)
         raise_first((~small & (loops < 0), lambda v: NegativeLoopWeight(
             f"vertex {v}: diagonal {diag[v]} below off-diagonal sum {_scaled(off[v], s)}")))
         np.fill_diagonal(out, np.where(small, 0.0, _scaled(loops, s)))
     else:
-        raise_first((~_within(excess, NUMERIC_TOL, m), lambda v: NotRealizable(
+        raise_first((~_within(d - off, NUMERIC_TOL, m, s), lambda v: NotRealizable(
             f"vertex {v}: diagonal {diag[v]} != off-diagonal absolute sum {_scaled(off[v], s)}")))
     return WeightedDigraph.from_adjacency(out)
 

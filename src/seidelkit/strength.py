@@ -83,14 +83,12 @@ def realignment(u: np.ndarray, bip: Bipartition) -> np.ndarray:
 
 
 def _require_unitary(u: np.ndarray) -> np.ndarray:
-    """u as a float matrix, after checking u.T u = I within NUMERIC_TOL; an entry
-    above 1, which could overflow the product, or a NaN is refused first."""
     u = _square(u)
-    top = _top(u)
+    top = _top(u)  # NaN fails this test; an entry above 1 could overflow u.T @ u
     if not top <= 1.0 + NUMERIC_TOL:
         raise NotUnitary(f"operator has an entry of size {top}; no entry of a unitary exceeds 1")
-    gap = float(np.max(np.abs(u.T @ u - np.eye(u.shape[0])), initial=0.0))
-    if not gap <= NUMERIC_TOL:
+    gap = float(np.max(np.abs(u.T @ u - np.eye(u.shape[0]))))
+    if gap > NUMERIC_TOL:
         raise NotUnitary(f"operator deviates from unitarity by {gap}")
     return u
 

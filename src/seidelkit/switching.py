@@ -54,8 +54,7 @@ from .errors import (
     VerificationFailed,
     raise_first,
 )
-from .graph import EXACT_TOL, WeightedDigraph, _bound, _top, _within, adjacency_matrix
-from .graph import _scaled, _shift
+from .graph import EXACT_TOL, WeightedDigraph, _bound, _down, _scaled, _within, adjacency_matrix
 
 
 @dataclass(frozen=True)
@@ -189,17 +188,16 @@ def switch_cross_block(a: np.ndarray) -> np.ndarray:
     code on a two-cell matrix holding A.
     """
     a = np.asarray(a, dtype=float)
-    top = _top(a)
+    s, top, x = _down(2 * a.size, a)
     if a.ndim != 2 or not a.size or not np.isfinite(top):
         raise NonConstantRowSum(f"need a nonempty finite m x n block, got shape {a.shape}")
     m, n = a.shape
-    s = _shift(top, 2 * a.size)
-    row_sums = _scaled(a, -s).sum(axis=1)
-    if not _within(row_sums - row_sums.mean(), EXACT_TOL, row_sums).all():
+    row_sums = x.sum(axis=1)
+    if not _within(row_sums - row_sums.mean(), EXACT_TOL, row_sums, s).all():
         raise NonConstantRowSum(f"row sums vary: {_scaled(row_sums, s)}")
     full = np.zeros((m + n, m + n))
     full[:m, m:] = a
-    return _conjugated(full, _Layout((range(m), range(m, m + n)), ()), top)[:m, m:]
+    return _conjugated(full, _Layout((range(m), range(m, m + n)), ()), _scaled(top, s))[:m, m:]
 
 
 def flip_half_pattern(x: Sequence[float]) -> np.ndarray:
@@ -218,7 +216,7 @@ def flip_half_pattern(x: Sequence[float]) -> np.ndarray:
     n = len(x)
     full = np.zeros((n + 1, n + 1))
     full[n, :n] = x
-    return _conjugated(full, _Layout((range(n),), (n,)), _top(x))[n, :n]
+    return _conjugated(full, _Layout((range(n),), (n,)), abs(nonzero[0]))[n, :n]
 
 
 class _Layout:
@@ -258,8 +256,7 @@ def _conjugated(a: np.ndarray, lay: _Layout, top: float, symmetric: bool = False
     if not m:
         return a.copy()
     cells, hubs, cell_of, part_of = perm[:m], perm[m:], lay.cell_of, lay.part_of
-    s = _shift(top, max(2 * len(a), 9))  # no sum passes 2n top, no entry 9 top
-    x = _scaled(a, -s)
+    s, low, x = _down(max(2 * len(a), 9), a, top=top)  # no sum passes 2n top, no entry 9 top
     q = x.take(perm, axis=0)
     # twice the mean of each row over each cell, and of each column
     cols2 = 2.0 * np.add.reduceat(q[:m], starts, axis=0) / sizes[:, None]
@@ -288,7 +285,7 @@ def _conjugated(a: np.ndarray, lay: _Layout, top: float, symmetric: bool = False
     # with the keep mask, plus 0.0 for the -0.0 that a negative residue
     # leaves; the diagonal blocks, cell interiors and D x D, are copied
     # from A afterwards, wherever the row and column share a part
-    np.multiply(q, np.abs(q, out=result) > _bound(EXACT_TOL, _scaled(top, -s)), out=q)
+    np.multiply(q, np.abs(q, out=result) > _bound(EXACT_TOL, low, s), out=q)
     q += 0.0
     result[perm] = _scaled(q, s)
     np.copyto(result, a, where=part_of[:, None] == part_of)
@@ -302,7 +299,6 @@ def _checked(g: WeightedDigraph, part: SeidelPartition) -> SimpleNamespace:
     part.check_cover(g.order)
     lay = part._layout
     a, n, m, perm, d = g._adjacency, g.order, lay.m, lay.perm, part.d_cell
-    s = _shift(g._top, 2 * n)  # for the sums below, and hi - lo of the hub table
     # (b) for all parts at once, the cells and then D (if any): a part's
     # interior row (column) sums are the sums of its rows (columns) over its
     # own vertices. Its block is gathered row by row, then column by column,
@@ -317,11 +313,11 @@ def _checked(g: WeightedDigraph, part: SeidelPartition) -> SimpleNamespace:
     entries = a.take(np.concatenate((rows * n + cols, cols * n + rows)))
     # absolute then signed, row sums then column sums: a (4, n) table
     segments = (seg + np.arange(0, 2 * len(entries), len(rows))[:, None]).ravel()
-    sums = np.add.reduceat(_scaled(np.concatenate((np.abs(entries), entries)), -s),
-                           segments).reshape(4, n)
+    s, _, sums = _down(2 * n, np.concatenate((np.abs(entries), entries)), top=g._top)
+    sums = np.add.reduceat(sums, segments).reshape(4, n)  # s serves hi - lo of the hub table too
     extremes = np.maximum.reduceat(np.concatenate((sums, -sums)), starts, axis=1)
     hi, neg_lo = extremes.reshape(2, 4, -1)
-    irregular = np.logical_or.reduce(hi + neg_lo > _bound(EXACT_TOL, np.maximum(hi, neg_lo)))
+    irregular = np.logical_or.reduce(hi + neg_lo > _bound(EXACT_TOL, np.maximum(hi, neg_lo), s))
     raise_first((irregular, lambda i: NotRegularInduced(
         f"induced subgraph on {f'cell {i}' if i < len(part.cells) else 'D'} is not regular")))
     # the hub table; per-cell arrays put cells before hubs, so that raveling
@@ -352,7 +348,7 @@ def _checked(g: WeightedDigraph, part: SeidelPartition) -> SimpleNamespace:
     spans = table.kinds[1] & (table.present > 0)  # half-attached, with edges this way
     partial = spans & (table.present < count)
     hi, lo = _scaled(table.hi, -s), _scaled(table.lo, -s)
-    uneven = spans & (hi - lo > _bound(EXACT_TOL, np.maximum(hi, -lo)))
+    uneven = spans & (hi - lo > _bound(EXACT_TOL, np.maximum(hi, -lo), s))
     checks = [(~np.logical_or.reduce(table.kinds), lambda j: fault(BadAdjacencyCount,
         "hub {v} is adjacent to {count} vertices of cell {i}; allowed counts are {allowed}", 0, j))]
     for k, name in enumerate(("outgoing", "incoming")):
@@ -389,11 +385,11 @@ def _verify_switch(m: np.ndarray, switched: np.ndarray, part: SeidelPartition) -
     U M U for the partition's operator U, under the tolerance rule with
     EXACT_TOL; U is orthogonal, so this proves equal spectra with no eigensolver."""
     u = switching_matrix(part, len(m))
-    s = _shift(np.maximum(_top(m), _top(switched)), 16)  # |U| has row sums under 3
-    expected = u @ _scaled(m, -s) @ u
-    deviation = np.abs(_scaled(switched, -s) - expected)
+    s, _, m, switched = _down(16, m, switched)  # |U| has row sums under 3
+    expected = u @ m @ u
+    deviation = np.abs(switched - expected)
     i, j = np.unravel_index(np.argmax(deviation), deviation.shape)
-    if not _within(deviation[i, j], EXACT_TOL, expected):
+    if not _within(deviation[i, j], EXACT_TOL, expected, s):
         raise VerificationFailed(f"switched matrix deviates from U M U by "
                                  f"{_scaled(deviation[i, j], s):.3e} at ({i}, {j})")
 

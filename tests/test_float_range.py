@@ -35,9 +35,13 @@ from seidelkit import (
     validate_seidel,
     validate_starlike,
 )
+from seidelkit.io import GraphDocument, write_document
+from seidelkit.cli import main
 from seidelkit.errors import (
     InvalidGraph,
+    NonConstantRowSum,
     NotRealizable,
+    NotRegularInduced,
     NotSymmetric,
     SeidelKitError,
     UnequalWeights,
@@ -188,6 +192,39 @@ def test_opposite_half_weights_past_half_the_range_are_unequal():
     g = WeightedDigraph(5, {(4, 0): BIG, (4, 1): -BIG})
     with pytest.raises(UnequalWeights, match="unequal outgoing weights"):
         validate_seidel(g, SeidelPartition(((0, 1, 2, 3),), (4,)))
+
+
+# a weight elsewhere sets s > 0; each part's tolerance floor stays 1e-12 (1 + its
+# own scale), as at s = 0, so 3e-12 apart on sums or weights of 1 still fails
+FAR = 2.0**1021
+
+
+def test_a_small_irregular_cell_beside_a_large_weight_is_irregular():
+    g = WeightedDigraph(4, {(0, 1): 1.0, (1, 0): 1.0 + 3e-12, (2, 3): FAR, (3, 2): FAR})
+    for f in (validate_seidel, switch):
+        with pytest.raises(NotRegularInduced, match="cell 0"):
+            f(g, SeidelPartition(((0, 1),), (2, 3)))
+
+
+def test_small_unequal_hub_weights_beside_a_large_weight_are_unequal():
+    g = WeightedDigraph(6, {(4, 0): 1.0, (4, 1): 1.0 + 3e-12, (4, 5): FAR, (5, 4): FAR})
+    with pytest.raises(UnequalWeights, match="unequal outgoing weights"):
+        validate_seidel(g, SeidelPartition(((0, 1, 2, 3),), (4, 5)))
+
+
+def test_small_unequal_row_sums_of_cancelling_large_entries_vary():
+    with pytest.raises(NonConstantRowSum):
+        switch_cross_block(np.array([[FAR, -FAR, 1.0], [FAR, -FAR, 1.0 + 5e-12]]))
+
+
+def test_cli_switch_verify_prints_spectra_past_half_the_range(tmp_path, capsys):
+    # the eigenvalues +-3e308 print as +-inf; the gap is measured on A 2^-s
+    g = WeightedDigraph(4, {**HUBS_TO_CELL, **{(v, h): BIG for h, v in HUBS_TO_CELL}})
+    path = tmp_path / "hubs.graph"
+    write_document(GraphDocument.from_graph(g, partition=SeidelPartition(((0, 1),), (2, 3))), path)
+    assert main(["--quiet", "switch", str(path), "--verify"]) == 0
+    out = capsys.readouterr().out
+    assert "spectrum in : -inf " in out and "max spectral gap: 0.000e+00" in out
 
 
 def test_a_cell_interior_summing_past_the_range_validates():
