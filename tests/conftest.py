@@ -10,6 +10,10 @@ agrees with conjugation to the last bit.
 
 from __future__ import annotations
 
+import importlib.util
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -17,6 +21,15 @@ from seidelkit import SeidelPartition, WeightedDigraph, adjacency_matrix
 from seidelkit.errors import SeidelKitError
 
 CELL_SIZES = (2, 4, 8)
+
+
+def bench_generators():
+    """`bench/generators.py`, loaded from its file without importing bench."""
+    path = Path(__file__).parents[1] / "bench" / "generators.py"
+    spec = importlib.util.spec_from_file_location("bench_generators", path)
+    module = sys.modules[spec.name] = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
 
 
 def _part_pattern(rng, vertices, symmetric_only, allow_loops=True, force_edges=False):

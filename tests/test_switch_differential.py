@@ -20,13 +20,11 @@ outcomes on purpose regenerates the file and says which digests moved:
 """
 
 import hashlib
-import importlib.util
 import json
-import sys
 from pathlib import Path
 
 import numpy as np
-from conftest import fresh, mutated, random_seidel_instance, random_starlike_instance
+from conftest import bench_generators, fresh, mutated, random_seidel_instance, random_starlike_instance
 
 from seidelkit import (
     SeidelPartition,
@@ -48,16 +46,7 @@ DRAWS = 60  # per generator; three inputs each
 L, Q = SpectralKind.LAPLACIAN, SpectralKind.SIGNLESS
 
 
-def _bench_generators():
-    """`bench/generators.py`, loaded from its file without importing bench."""
-    path = Path(__file__).parents[1] / "bench" / "generators.py"
-    spec = importlib.util.spec_from_file_location("bench_generators", path)
-    module = sys.modules[spec.name] = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    return module
-
-
-gen = _bench_generators()
+gen = bench_generators()
 # (generator, order, draws): asymmetric adj-docs graphs with cross blocks,
 # partial incoming category-1 weights and cells of 64, and starlike
 # lq-states graphs at orders whose cells are all powers of two; two inputs each
