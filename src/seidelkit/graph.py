@@ -115,11 +115,14 @@ def _square(m) -> np.ndarray:
 
 
 def _dense(order: int, rows, cols, weights) -> np.ndarray:
-    """Adjacency matrix of parallel edge arrays, after checking their pairs and zeros."""
+    """Adjacency matrix of parallel edge arrays, after checking their pairs
+    and zeros; an order numpy cannot hold a matrix of is named first."""
     if order < 1:
         raise InvalidGraph(f"order must be positive, got {order}")
-    if order > math.isqrt(np.iinfo(np.intp).max // 8):  # numpy's bound on its bytes
-        raise InvalidGraph(f"order {order} is too large for an order x order matrix")
+    try:
+        a = np.zeros((order, order))
+    except (ValueError, OverflowError, MemoryError):  # past intp, or more than memory
+        raise InvalidGraph(f"order {order} is too large for an order x order matrix") from None
     rows, cols, weights = (np.asarray(x, dtype=float) for x in (rows, cols, weights))
     pairs = np.stack([rows, cols])
     # floor, not % 1, which warns on a non-finite endpoint
@@ -130,7 +133,6 @@ def _dense(order: int, rows, cols, weights) -> np.ndarray:
         (weights == 0, lambda i: InvalidGraph(
             f"edge ({rows[i]:g}, {cols[i]:g}) stored with zero weight")),
     )
-    a = np.zeros((order, order))
     a[rows.astype(np.intp), cols.astype(np.intp)] = weights
     return a
 

@@ -66,8 +66,50 @@ class GraphDocument:
         return cls(g, partition, metadata or {})
 
 
-def _raise_first_bad_entry(items, order: int, source: str) -> None:
-    """Walk an edge list in document order and raise for its first bad entry."""
+def _document(g: WeightedDigraph, raw: dict, source: str) -> GraphDocument:
+    """The document of a graph and the partition and metadata fields of raw."""
+    partition = None
+    if raw.get("partition") is not None:
+        p = raw["partition"]
+        try:
+            cells, d = tuple(tuple(c) for c in p["cells"]), tuple(p.get("d", ()))
+        except (KeyError, TypeError) as exc:
+            raise ParseError(f"{source}: malformed partition: {exc}") from None
+        for entry in (*cells, d):
+            if any(type(v) is not int for v in entry):
+                raise ParseError(
+                    f"{source}: partition vertices must be integers, got {list(entry)!r}")
+        partition = SeidelPartition(cells, d)
+    metadata = raw.get("metadata") or {}
+    if not isinstance(metadata, dict):
+        raise ParseError(f"{source}: metadata must be an object")
+    return GraphDocument(g, partition, metadata)
+
+
+def _loads_walked(text: str, source: str) -> GraphDocument:
+    """The reference reader: `json.loads` of the whole text, any failure of
+    which is a ParseError, then a walk of the edge list that raises for its
+    first bad entry; a list that passes fails only the graph's own checks
+    (a loop of negative weight, an order too large). Every input the text
+    path declines comes here."""
+    try:
+        raw = json.loads(text)
+    except json.JSONDecodeError as exc:
+        raise ParseError(f"{source}: line {exc.lineno}: {exc.msg}") from None
+    except ValueError as exc:  # an integer of more digits than int() converts
+        raise ParseError(f"{source}: {exc}") from None
+    except RecursionError:
+        raise ParseError(f"{source}: nested too deeply") from None
+    if not isinstance(raw, dict):
+        raise ParseError(f"{source}: top level must be an object")
+    try:
+        order, items = raw["order"], raw["edges"]
+    except KeyError as missing:
+        raise ParseError(f"{source}: missing required field {missing}") from None
+    if type(order) is not int or order < 1:
+        raise ParseError(f"{source}: order must be a positive integer")
+    if not isinstance(items, list):
+        raise ParseError(f"{source}: edges must be a list of [u, v, weight] entries")
     seen: set[tuple[int, int]] = set()
     for item in items:
         if not isinstance(item, list) or len(item) != 3:
@@ -90,62 +132,7 @@ def _raise_first_bad_entry(items, order: int, source: str) -> None:
             raise ParseError(f"{source}: edge ({u}, {v}) has zero weight")
         if not np.isfinite(w):
             raise ParseError(f"{source}: edge ({u}, {v}) weight {w!r} is not finite")
-
-
-def _read_graph(items, order: int, source: str) -> WeightedDigraph:
-    """The graph of a parsed edge list, walked entry by entry: the first bad
-    entry raises a document error; a list that passes the walk fails only the
-    graph's own checks (a loop of negative weight), which the graph reports.
-    """
-    if not isinstance(items, list):
-        raise ParseError(f"{source}: edges must be a list of [u, v, weight] entries")
-    _raise_first_bad_entry(items, order, source)
-    return WeightedDigraph.from_edges(order, [tuple(item) for item in items])
-
-
-def _parse_document(raw: dict, source: str) -> GraphDocument:
-    if not isinstance(raw, dict):
-        raise ParseError(f"{source}: top level must be an object")
-    try:
-        order = raw["order"]
-        edge_items = raw["edges"]
-    except KeyError as missing:
-        raise ParseError(f"{source}: missing required field {missing}") from None
-    if type(order) is not int or order < 1:
-        raise ParseError(f"{source}: order must be a positive integer")
-    return _document(_read_graph(edge_items, order, source), raw, source)
-
-
-def _document(g: WeightedDigraph, raw: dict, source: str) -> GraphDocument:
-    """The document of a graph and the partition and metadata fields of raw."""
-    partition = None
-    if raw.get("partition") is not None:
-        p = raw["partition"]
-        try:
-            cells, d = tuple(tuple(c) for c in p["cells"]), tuple(p.get("d", ()))
-        except (KeyError, TypeError) as exc:
-            raise ParseError(f"{source}: malformed partition: {exc}") from None
-        for entry in (*cells, d):
-            if any(type(v) is not int for v in entry):
-                raise ParseError(
-                    f"{source}: partition vertices must be integers, got {list(entry)!r}")
-        partition = SeidelPartition(cells, d)
-    metadata = raw.get("metadata") or {}
-    if not isinstance(metadata, dict):
-        raise ParseError(f"{source}: metadata must be an object")
-    return GraphDocument(g, partition, metadata)
-
-
-def _loads_walked(text: str, source: str) -> GraphDocument:
-    """The reference reader: `json.loads` of the whole text, then a walk of
-    its edge list. Every input the text path declines comes here."""
-    try:
-        raw = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise ParseError(f"{source}: line {exc.lineno}: {exc.msg}") from None
-    except ValueError as exc:  # an integer of more digits than int() converts
-        raise ParseError(f"{source}: {exc}") from None
-    return _parse_document(raw, source)
+    return _document(WeightedDigraph.from_edges(order, items), raw, source)
 
 
 # The text path. A document that opens with {"order": N, "edges": [ is split
@@ -196,9 +183,9 @@ def _edge_table(body: bytes) -> np.ndarray | None:
     return table.reshape(k, 3) if filled == 3 * k else None
 
 
-def _text_path(text: str) -> tuple[int, np.ndarray, dict] | None:
-    """(order, edge table, the other top-level fields, and a "" key) of a
-    document the text path vouches for, or None."""
+def _text_path(text: str, source: str) -> GraphDocument | None:
+    """The document the text path vouches for, or None for any other text
+    and any graph `from_edges` rejects: the walk names the fault."""
     head = _HEAD.match(text)
     if head is None:
         return None
@@ -218,7 +205,13 @@ def _text_path(text: str) -> tuple[int, np.ndarray, dict] | None:
     except UnicodeEncodeError:
         return None
     table = _edge_table(body)
-    return None if table is None else (int(head[1]), table, fields)
+    if table is None:
+        return None
+    try:
+        g = WeightedDigraph.from_edges(int(head[1]), table)
+    except InvalidGraph:
+        return None
+    return _document(g, fields, source)
 
 
 def loads_document(text: str, source: str = "<string>") -> GraphDocument:
@@ -226,16 +219,8 @@ def loads_document(text: str, source: str = "<string>") -> GraphDocument:
     as every writer here writes one, is read by the text path; any other,
     and any the text path finds a fault in, by `json.loads` and a walk of
     the edges that names the first bad entry."""
-    read = _text_path(text) if isinstance(text, str) else None
-    if read is not None:
-        order, table, fields = read
-        try:
-            g = WeightedDigraph.from_edges(order, table)
-        except (InvalidGraph, ValueError):  # the walk names the bad entry
-            pass
-        else:
-            return _document(g, fields, source)
-    return _loads_walked(text, source)
+    doc = _text_path(text, source) if isinstance(text, str) else None
+    return _loads_walked(text, source) if doc is None else doc
 
 
 def read_document(path: str | Path) -> GraphDocument:

@@ -124,9 +124,10 @@ class TestConstruction:
         assert (K2 == 5) is False
         assert repr(K2) == "WeightedDigraph(order=2, edges={(0, 1): 1.0, (1, 0): 1.0})"
 
-    @pytest.mark.parametrize("order", [10**30, 2**30])
+    @pytest.mark.parametrize("order", [10**30, 2**30, 123456789])
     def test_an_order_numpy_cannot_hold_is_named(self, order):
-        # numpy raised its own ValueError, or OverflowError for longer orders
+        # numpy raised its own ValueError, OverflowError for longer orders, or
+        # MemoryError for a matrix of more bytes than memory
         with pytest.raises(InvalidGraph, match=f"^order {order} is too large"):
             WeightedDigraph.from_edges(order, [])
 

@@ -373,6 +373,9 @@ TEXT_PATH_CASES = [
     '{"order": 3, "edges": [[0, 1, 1.0], [1, 2, 2.0], [2, 2, -1.0]]}',
     '{"order": 3, "edges": [[0, 1, 1.0], [1, 2, ], [2, 0, 1.0]]}',
     '{"order": 3, "edges": [[0, 1, 1.0], [1, 2, 2.0] [2, 0, 1.0]]}',
+    # metadata nested deeper than json.loads recurses
+    pytest.param('{"order": 2, "edges": [[0, 1, 1.0]], "metadata": '
+                 + '{"n": ' * 100_000 + "1" + "}" * 100_000 + "}", id="metadata-nested-100000-deep"),
 ]
 
 
