@@ -1,11 +1,12 @@
 """Command-line front end.
 
-Exit codes: 0 success, 1 domain error, 2 usage or parse error.
+Exit codes: 0 success, 1 domain error, 2 usage, parse or file error.
 """
 
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 from pathlib import Path
 
@@ -233,9 +234,12 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
+    if not (math.isfinite(args.tol) and args.tol >= 0):
+        print(f"error: --tol must be a finite number >= 0, got {args.tol}", file=sys.stderr)
+        return 2
     try:
         return args.fn(args)
-    except ParseError as exc:
+    except (ParseError, OSError) as exc:  # a file that cannot be read or written
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except SeidelKitError as exc:

@@ -225,7 +225,11 @@ def loads_document(text: str, source: str = "<string>") -> GraphDocument:
 
 def read_document(path: str | Path) -> GraphDocument:
     path = Path(path)
-    return loads_document(path.read_text(), source=str(path))
+    try:
+        text = path.read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise ParseError(f"{path}: not UTF-8 text, byte {exc.start}") from None
+    return loads_document(text, source=str(path))
 
 
 def _document_parts(doc: GraphDocument) -> list[str]:

@@ -682,3 +682,26 @@ class TestCli:
         path.write_text("{not json")
         assert main(["validate", str(path)]) == 2
         assert "error" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("argv, named", [
+        (["spectra", "{missing}"], "No such file or directory"),
+        (["spectra", "{tmp}"], "Is a directory"),
+        (["spectra", "{latin1}"], "latin1.graph: not UTF-8 text, byte 45"),
+        (["switch", "{fig2}", "--out", "{tmp}/no-dir/out.graph"], "No such file or directory"),
+        (["strength-scan", "--max-order", "4", "--out", "{tmp}/no-dir/scan.csv"],
+         "No such file or directory"),
+        # cospectral read false on this true pair, and entropy rank 0
+        (["--tol", "nan", "cospectral", "{fig4_left}", "{fig4_right}"], "got nan"),
+        (["--tol", "nan", "entropy", "{fig4_left}"], "got nan"),
+        (["--tol", "inf", "spectra", "{fig4_left}"], "got inf"),
+        (["--tol=-1e-9", "spectra", "{fig4_left}"], "got -1e-09"),
+    ])
+    def test_a_file_or_option_error_exits_2_with_one_line(self, argv, named, tmp_path, capsys):
+        # each ended in a traceback and exit 1, or ran on with a meaningless --tol
+        latin1 = tmp_path / "latin1.graph"
+        latin1.write_bytes(b'{"order": 2, "edges": [], "metadata": {"n": "\xe9"}}')
+        paths = {"tmp": tmp_path, "missing": tmp_path / "missing.graph", "latin1": latin1,
+                 **{name: fixture_file(name, tmp_path) for name in ("fig2", "fig4_left", "fig4_right")}}
+        assert main([arg.format(**paths) for arg in argv]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and re.fullmatch(f"error: .*{re.escape(named)}.*\n", captured.err)
