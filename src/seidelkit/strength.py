@@ -87,7 +87,7 @@ def _require_unitary(u: np.ndarray) -> np.ndarray:
     top = _top(u)  # NaN fails this test; an entry above 1 could overflow u.T @ u
     if not top <= 1.0 + NUMERIC_TOL:
         raise NotUnitary(f"operator has an entry of size {top}; no entry of a unitary exceeds 1")
-    gap = float(np.max(np.abs(u.T @ u - np.eye(u.shape[0]))))
+    gap = float(np.max(np.abs(u.T @ u - np.eye(u.shape[0])), initial=0.0))
     if gap > NUMERIC_TOL:
         raise NotUnitary(f"operator deviates from unitarity by {gap}")
     return u

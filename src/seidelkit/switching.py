@@ -131,6 +131,13 @@ class SeidelOperator:
     block_sizes: tuple[int, ...]
     identity_size: int = 0
 
+    def __post_init__(self):
+        for n in self.block_sizes:
+            if n < 2:
+                raise InvalidOrder(f"switching operator needs order >= 2, got {n}")
+        if self.identity_size < 0:
+            raise InvalidOrder(f"identity block needs size >= 0, got {self.identity_size}")
+
     @property
     def order(self) -> int:
         return sum(self.block_sizes) + self.identity_size

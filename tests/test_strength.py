@@ -129,6 +129,12 @@ class TestIsLocal:
         with pytest.raises(NotUnitary):
             f(u, Bipartition(2, 2))
 
+    @pytest.mark.parametrize("f", [is_local, schmidt_coefficients])
+    def test_an_empty_operator_fits_no_bipartition(self, f):
+        # the unitarity check took the max of no entries, and numpy raised
+        with pytest.raises(BadBipartition, match=r"^2 \* 2 != operator order 0$"):
+            f(np.zeros((0, 0)), Bipartition(2, 2))
+
 
 class TestSchmidtCoefficients:
     def test_local_operator_single_coefficient(self):

@@ -82,6 +82,16 @@ class TestSeidelMatrix:
         with pytest.raises(InvalidOrder):
             seidel_matrix(1)
 
+    # the sizes were taken, and numpy or seidel_matrix failed only in matrix()
+    @pytest.mark.parametrize("sizes, named", [
+        (((1,),), "switching operator needs order >= 2, got 1"),
+        (((4, -3),), "switching operator needs order >= 2, got -3"),
+        (((2,), -1), "identity block needs size >= 0, got -1"),
+    ])
+    def test_an_operator_of_a_size_below_its_block_is_an_invalid_order(self, sizes, named):
+        with pytest.raises(InvalidOrder, match=f"^{named}$"):
+            SeidelOperator(*sizes)
+
 
 class TestBlockSeidel:
     def test_cnot_block_form(self):
