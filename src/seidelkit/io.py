@@ -20,10 +20,12 @@ document is its own `json.loads`. The text path vouches for exactly this:
 the edge list is k >= 1 triples of JSON numbers with integer endpoints, in
 JSON whitespace, and the rest is a JSON object continuation with no second
 `order` or `edges` key; then the whole text is valid JSON and `json.loads`
-would read the same values. Every other input, and any graph `from_edges`
-rejects, takes the walk: `json.loads` of the whole text, then the edge list
-entry by entry, which names the first bad entry. So every error, and its
-message, is the walk's.
+would read the same values. So the text path yields the document or
+declines: every other input, and any graph `from_edges` rejects, takes the
+walk. The walk is `json.loads` of the whole text, any failure of which (a
+nesting too deep for it too) is a ParseError, then the edge list entry by
+entry, which names the first bad entry. So every error, and its message, is
+the walk's. A file is read as UTF-8; other bytes are a ParseError.
 """
 
 from __future__ import annotations
