@@ -116,7 +116,7 @@ def _square(m) -> np.ndarray:
 
 def _dense(order: int, rows, cols, weights) -> np.ndarray:
     """Adjacency matrix of parallel edge arrays, after checking their pairs
-    and zeros; an order numpy cannot hold a matrix of is named first."""
+    and zeros; an order too large for numpy's matrix fails first."""
     if order < 1:
         raise InvalidGraph(f"order must be positive, got {order}")
     try:

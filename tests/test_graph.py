@@ -126,7 +126,7 @@ class TestConstruction:
 
     @pytest.mark.parametrize("order", [10**30, 2**30, 123456789])
     def test_an_order_numpy_cannot_hold_is_named(self, order):
-        # numpy raised its own ValueError, OverflowError for longer orders, or
+        # numpy refuses with ValueError, OverflowError for longer orders, or
         # MemoryError for a matrix of more bytes than memory
         with pytest.raises(InvalidGraph, match=f"^order {order} is too large"):
             WeightedDigraph.from_edges(order, [])

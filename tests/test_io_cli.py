@@ -697,7 +697,7 @@ class TestCli:
         (["--tol=-1e-9", "spectra", "{fig4_left}"], "got -1e-09"),
     ])
     def test_a_file_or_option_error_exits_2_with_one_line(self, argv, named, tmp_path, capsys):
-        # each ended in a traceback and exit 1, or ran on with a meaningless --tol
+        # an OSError or a bad byte is no traceback, and a --tol of nan fails every comparison
         latin1 = tmp_path / "latin1.graph"
         latin1.write_bytes(b'{"order": 2, "edges": [], "metadata": {"n": "\xe9"}}')
         paths = {"tmp": tmp_path, "missing": tmp_path / "missing.graph", "latin1": latin1,

@@ -131,7 +131,7 @@ class TestIsLocal:
 
     @pytest.mark.parametrize("f", [is_local, schmidt_coefficients])
     def test_an_empty_operator_fits_no_bipartition(self, f):
-        # the unitarity check took the max of no entries, and numpy raised
+        # the unitarity check takes the max of no entries before the size check
         with pytest.raises(BadBipartition, match=r"^2 \* 2 != operator order 0$"):
             f(np.zeros((0, 0)), Bipartition(2, 2))
 

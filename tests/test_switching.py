@@ -82,7 +82,7 @@ class TestSeidelMatrix:
         with pytest.raises(InvalidOrder):
             seidel_matrix(1)
 
-    # the sizes were taken, and numpy or seidel_matrix failed only in matrix()
+    # refused when the operator is built, not first in matrix()
     @pytest.mark.parametrize("sizes, named", [
         (((1,),), "switching operator needs order >= 2, got 1"),
         (((4, -3),), "switching operator needs order >= 2, got -3"),
