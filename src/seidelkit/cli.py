@@ -27,7 +27,7 @@ from .graph import (
     spectrum,
 )
 from .quantum import density_from_graph, is_pure, von_neumann_entropy
-from .starlike import SpectralKind, lq_switch, validate_starlike
+from .starlike import lq_switch, validate_starlike
 from .strength import scan_csv, strength_scan
 from .switching import switch, validate_seidel
 
@@ -102,7 +102,7 @@ def cmd_switch(args) -> int:
     if args.kind == "adjacency":
         result = switch(g, part, verify=args.verify)
     else:
-        result = lq_switch(g, part, SpectralKind(args.kind), force=args.force, verify=args.verify)
+        result = lq_switch(g, part, args.kind, force=args.force, verify=args.verify)
     out_doc = io.GraphDocument.from_graph(result, partition=part, metadata=doc.metadata)
     if args.out:
         io.write_document(out_doc, args.out)
@@ -128,7 +128,7 @@ def cmd_spectra(args) -> int:
 
 def cmd_density(args) -> int:
     doc = io.read_document(args.path)
-    rho = density_from_graph(doc.graph(), SpectralKind(args.kind))
+    rho = density_from_graph(doc.graph(), args.kind)
     print(f"kind: {args.kind}, order: {rho.order}")
     for row in rho.matrix:
         print(_fmt(row))
@@ -137,7 +137,7 @@ def cmd_density(args) -> int:
 
 def cmd_entropy(args) -> int:
     doc = io.read_document(args.path)
-    rho = density_from_graph(doc.graph(), SpectralKind(args.kind))
+    rho = density_from_graph(doc.graph(), args.kind)
     rank = int(np.count_nonzero(rho.eigenvalues() > args.tol))
     print(f"entropy: {von_neumann_entropy(rho):.12g} bits")
     print(f"pure: {is_pure(rho, args.tol)}")

@@ -15,7 +15,7 @@ import numpy as np
 
 from .errors import InvalidGraph, NotPSD, NotSymmetric, ZeroTrace
 from .graph import EXACT_TOL, NUMERIC_TOL, WeightedDigraph, _eigvalsh, _frozen, _square
-from .graph import _down, _scaled
+from .graph import _down, _exactly_symmetric, _scaled
 from .starlike import SpectralKind, spectral_matrix
 
 
@@ -38,7 +38,7 @@ class DensityMatrix:
         m = _frozen(np.array(_square(self.matrix)))
         object.__setattr__(self, "matrix", m)
         s, top, x = _down(len(m) + 1, m)  # for m - m.T and the trace
-        if not np.isfinite(top) or not ((m == m.T).all() or
+        if not np.isfinite(top) or not (_exactly_symmetric(m) or
                 np.max(np.abs(x - x.T), initial=0.0) <= _scaled(EXACT_TOL, -s)):
             raise NotSymmetric(f"density matrix must be symmetric within {EXACT_TOL:g}")
         self._solve(s=s)

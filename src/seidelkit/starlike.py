@@ -34,7 +34,7 @@ from .graph import (
     NUMERIC_TOL, WeightedDigraph, _require_symmetric_weights, _down, _scaled, _tie, _within,
     adjacency_matrix, laplacian, signless_laplacian,
 )
-from .switching import SeidelPartition, _checked, _switched, _verify_switch
+from .switching import SeidelPartition, _checked, _switched, _uneven, _verify_switch
 from .switching import validate_seidel  # noqa: F401  kept importable from this module
 
 
@@ -53,6 +53,7 @@ def spectral_matrix(g: WeightedDigraph, kind: SpectralKind) -> np.ndarray:
     array of the caller's own, a copy of this one included, is solved on
     every call.
     """
+    kind = SpectralKind(kind)
     m = laplacian(g) if kind is SpectralKind.LAPLACIAN else signless_laplacian(g)
     return _tie(m, g, ("spectrum", kind))
 
@@ -129,7 +130,7 @@ def _starlike(g: WeightedDigraph, part: SeidelPartition) -> tuple[StarlikeCellPr
     hi, neg_lo = np.maximum.reduce(
         np.where(mask, np.array([table.hi, -table.lo])[:, None], -np.inf), axis=4, initial=-np.inf)
     weights = np.where(nonzero, hi, 0.0).reshape(4, k)
-    faults = (nonzero & (zero | (hi != -neg_lo))).reshape(4, k)
+    faults = (nonzero & (zero | _uneven(hi, -neg_lo, table.s))).reshape(4, k)
 
     def nonuniform(error, c, direction, i):
         s, n, hubs = lay.starts[i], sizes[i], kinds[c - 1, i]
@@ -182,6 +183,7 @@ def project_graph(h: WeightedDigraph, kind: SpectralKind) -> WeightedDigraph:
     itself), so a_ii must equal the off-diagonal absolute row sum exactly
     and G' is loopless. The sums run on A(H) 2^-s (see `_down`).
     """
+    kind = SpectralKind(kind)
     _require_symmetric_weights(h)
     m = adjacency_matrix(h)
     sign = 1.0 if kind is SpectralKind.SIGNLESS else -1.0

@@ -37,7 +37,7 @@ from __future__ import annotations
 
 import functools
 from dataclasses import dataclass
-from itertools import chain
+from itertools import chain, islice
 from types import SimpleNamespace
 from typing import Sequence
 
@@ -147,13 +147,11 @@ class SeidelOperator:
         return "single" if len(self.block_sizes) == 1 and self.identity_size == 0 else "block"
 
     def matrix(self) -> np.ndarray:
-        """Dense block-diagonal matrix in the partition's vertex ordering."""
-        u = np.eye(self.order)
-        pos = 0
-        for n in self.block_sizes:
-            u[pos : pos + n, pos : pos + n] = seidel_matrix(n)
-            pos += n
-        return u
+        """Dense block-diagonal matrix in the partition's vertex ordering:
+        `switching_matrix` of consecutive cells, then D."""
+        vertices = iter(range(self.order))
+        cells = [tuple(islice(vertices, n)) for n in self.block_sizes]
+        return switching_matrix(SeidelPartition(cells, tuple(vertices)), self.order)
 
 
 def seidel_matrix(n: int) -> np.ndarray:
@@ -161,27 +159,21 @@ def seidel_matrix(n: int) -> np.ndarray:
 
     Symmetric, unitary and involutory; n = 2 gives the Pauli X.
     """
-    if n < 2:
-        raise InvalidOrder(f"switching operator needs order >= 2, got {n}")
-    u = np.full((n, n), 2.0 / n)
-    np.fill_diagonal(u, 2.0 / n - 1.0)
-    return u
+    return SeidelOperator((n,)).matrix()
 
 
 def block_seidel(part: SeidelPartition) -> SeidelOperator:
     """Block operator diag{U_n1, ..., U_nk, I_|D|} for a partition."""
-    return SeidelOperator(
-        block_sizes=tuple(len(c) for c in part.cells),
-        identity_size=len(part.d_cell),
-    )
+    return SeidelOperator(tuple(map(len, part.cells)), len(part.d_cell))
 
 
 def switching_matrix(part: SeidelPartition, order: int) -> np.ndarray:
-    """Switching operator in graph vertex order (not partition order)."""
+    """Switching operator in graph vertex order (not partition order): the
+    identity, with U_n = (2/n)J - I on the vertices of each cell of n."""
     part.check_cover(order)
     u = np.eye(order)
     for cell in part.cells:
-        u[np.ix_(cell, cell)] = seidel_matrix(len(cell))
+        u[np.ix_(cell, cell)] = 2.0 / len(cell) - np.eye(len(cell))
     return u
 
 
@@ -299,6 +291,12 @@ def _conjugated(a: np.ndarray, lay: _Layout, top: float, symmetric: bool = False
     return result
 
 
+def _uneven(hi, lo, s: int) -> np.ndarray:
+    """Whether weights from lo to hi differ by more than EXACT_TOL (1 + max |w|), read 2^-s."""
+    hi, lo = _scaled(hi, -s), _scaled(lo, -s)
+    return hi - lo > _bound(EXACT_TOL, np.maximum(hi, -lo), s)
+
+
 def _checked(g: WeightedDigraph, part: SeidelPartition) -> SimpleNamespace:
     """Run the checks of `validate_seidel`; return the hub table. Only the
     diagonal blocks and the hub rows and columns of A are read, in A's own
@@ -337,7 +335,7 @@ def _checked(g: WeightedDigraph, part: SeidelPartition) -> SimpleNamespace:
     counts = np.add.reduceat(np.concatenate((nonzero, attached[None])), lay.starts, axis=1)
     present, count, sizes = counts[:2], counts[2], lay.sizes[:, None]
     table = SimpleNamespace(
-        w=w, attached=attached, count=count, present=present,
+        w=w, attached=attached, count=count, present=present, s=s,
         hi=np.maximum.reduceat(np.where(nonzero, w, -np.inf), lay.starts, axis=1),
         lo=np.minimum.reduceat(np.where(nonzero, w, np.inf), lay.starts, axis=1),
         # categories 1, 2, 3: attached to all, half, none; any other count is in none
@@ -354,8 +352,7 @@ def _checked(g: WeightedDigraph, part: SeidelPartition) -> SimpleNamespace:
 
     spans = table.kinds[1] & (table.present > 0)  # half-attached, with edges this way
     partial = spans & (table.present < count)
-    hi, lo = _scaled(table.hi, -s), _scaled(table.lo, -s)
-    uneven = spans & (hi - lo > _bound(EXACT_TOL, np.maximum(hi, -lo), s))
+    uneven = spans & _uneven(table.hi, table.lo, s)
     checks = [(~np.logical_or.reduce(table.kinds), lambda j: fault(BadAdjacencyCount,
         "hub {v} is adjacent to {count} vertices of cell {i}; allowed counts are {allowed}", 0, j))]
     for k, name in enumerate(("outgoing", "incoming")):
