@@ -40,6 +40,7 @@ from seidelkit.cli import main
 from seidelkit.errors import (
     InvalidGraph,
     NonConstantRowSum,
+    NonuniformCategory1Weights,
     NotRealizable,
     NotRegularInduced,
     NotSymmetric,
@@ -192,6 +193,17 @@ def test_opposite_half_weights_past_half_the_range_are_unequal():
     g = WeightedDigraph(5, {(4, 0): BIG, (4, 1): -BIG})
     with pytest.raises(UnequalWeights, match="unequal outgoing weights"):
         validate_seidel(g, SeidelPartition(((0, 1, 2, 3),), (4,)))
+
+
+def test_opposite_category1_weights_past_half_the_range_are_nonuniform():
+    # their spread, 3e308, is read at 2^-s, as a half-attached hub's is
+    edges = {}
+    for v in range(4):
+        edges[4, v] = edges[v, 4] = BIG
+        edges[5, v] = edges[v, 5] = -BIG
+    with pytest.raises(NonuniformCategory1Weights,
+                       match=r"^cell 0: weights \[-1\.5e\+308, 1\.5e\+308\] are not uniform$"):
+        validate_starlike(WeightedDigraph(6, edges), SeidelPartition(((0, 1, 2, 3),), (4, 5)))
 
 
 # a weight elsewhere sets s > 0; each part's tolerance floor stays 1e-12 (1 + its

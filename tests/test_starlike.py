@@ -18,16 +18,20 @@ from seidelkit import (
     adjacency_matrix,
     brute_force_isomorphic,
     cospectral,
+    density_from_graph,
+    laplacian,
     lift_graph,
     load_fixture,
     loop_weights_preserved,
     lq_switch,
     project_graph,
+    signless_laplacian,
     spectral_matrix,
     starlike,
     switch,
     switching_matrix,
     validate_starlike,
+    von_neumann_entropy,
 )
 from seidelkit.errors import (
     AsymmetricWeights,
@@ -56,6 +60,16 @@ def sym_edges(pairs, w=1.0):
     for u, v in pairs:
         out += [(u, v, w), (v, u, w)]
     return out
+
+
+TWO_HUBS = SeidelPartition(cells=((0, 1, 2, 3),), d_cell=(4, 5))
+
+
+def two_hubs(w4, w5):
+    """Symmetric graph on TWO_HUBS whose hubs 4 and 5 attach to all of the
+    cell, with weights w4 and w5."""
+    return WeightedDigraph.from_edges(
+        6, sym_edges([(4, v) for v in range(4)], w4) + sym_edges([(5, v) for v in range(4)], w5))
 
 
 class TestValidateStarlike:
@@ -179,6 +193,20 @@ class TestValidateStarlike:
             profiles = validate_starlike(g, part)
             assert len(profiles) == len(part.cells)
 
+    def test_category1_weights_equal_under_the_tolerance_rule_are_uniform(self):
+        # 0.1 + 0.2 is 0.3 plus one ulp: validate_seidel and the certificate
+        # accept it, so the starlike check does too
+        g = two_hubs(0.3, 0.1 + 0.2)
+        [profile] = validate_starlike(g, TWO_HUBS)
+        assert (profile.w_plus, profile.w_minus, profile.p) == (0.1 + 0.2, 0.1 + 0.2, 2)
+        for kind in KINDS:
+            lq_switch(fresh(g), TWO_HUBS, kind, verify=True)
+
+    def test_category1_weights_apart_beyond_the_tolerance_rule_are_not(self):
+        with pytest.raises(NonuniformCategory1Weights,
+                           match=r"^cell 0: weights \[1\.0, 1\.000000001\] are not uniform$"):
+            validate_starlike(two_hubs(1.0, 1.0 + 1e-9), TWO_HUBS)
+
 
 class TestLift:
     def test_k2_laplacian(self):
@@ -208,6 +236,45 @@ class TestLift:
             for kind in KINDS:
                 h = lift_graph(g, kind)
                 assert np.array_equal(adjacency_matrix(h), spectral_matrix(g, kind))
+
+
+class TestKindByValue:
+    """A kind's string value means its member, in every function that takes one."""
+
+    TRIANGLE = WeightedDigraph.from_adjacency(np.ones((3, 3)) - np.eye(3))
+
+    @pytest.mark.parametrize("kind, matrix", [("laplacian", laplacian),
+                                              ("signless", signless_laplacian)])
+    def test_spectral_matrix(self, kind, matrix):
+        g = self.TRIANGLE
+        assert np.array_equal(spectral_matrix(g, kind), matrix(g))
+        assert np.array_equal(spectral_matrix(g, kind), spectral_matrix(g, SpectralKind(kind)))
+
+    def test_the_triangle_states(self):
+        # L = 3I - J has spectrum (0, 3, 3): one bit; Q = I + J has (1, 1, 4)
+        entropy = {kind: von_neumann_entropy(density_from_graph(self.TRIANGLE, kind))
+                   for kind in ("laplacian", "signless")}
+        assert entropy["laplacian"] == pytest.approx(1.0, abs=1e-12)
+        assert entropy["signless"] == pytest.approx(1.2516291673878228, abs=1e-12)
+
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_project_graph(self, kind):
+        g = WeightedDigraph.from_edges(4, sym_edges(C4) + sym_edges([(0, 2)], w=2.0))
+        assert project_graph(lift_graph(g, kind), kind.value) == g
+
+    @pytest.mark.parametrize("f", [spectral_matrix, lift_graph, project_graph,
+                                   density_from_graph])
+    def test_an_unknown_kind_raises(self, f):
+        # it once read as Q in spectral_matrix and as L in project_graph
+        with pytest.raises(ValueError, match="'bogus' is not a valid SpectralKind"):
+            f(self.TRIANGLE, "bogus")
+
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_a_value_and_its_member_share_one_recorded_solve(self, kind, eigensolves):
+        g = fresh(self.TRIANGLE)
+        assert cospectral(spectral_matrix(g, kind.value), spectral_matrix(g, kind))
+        assert len(eigensolves) == 1
+        assert list(g._facts) == [("spectrum", kind)]
 
 
 class TestProject:

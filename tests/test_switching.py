@@ -79,8 +79,35 @@ class TestSeidelMatrix:
         assert np.max(np.abs(u.T @ u - np.eye(n))) < 1e-12
 
     def test_invalid_order(self):
-        with pytest.raises(InvalidOrder):
+        with pytest.raises(InvalidOrder, match="^switching operator needs order >= 2, got 1$"):
             seidel_matrix(1)
+
+    def test_every_operator_has_the_bytes_of_the_block_formula(self, rng):
+        # U_n as (2/n) J with 2/n - 1 on the diagonal, placed block by block,
+        # as each operator was once built on its own
+        def cell(n):
+            u = np.full((n, n), 2.0 / n)
+            np.fill_diagonal(u, 2.0 / n - 1.0)
+            return u
+
+        for n in range(2, 65):
+            assert seidel_matrix(n).tobytes() == cell(n).tobytes()
+        for _ in range(300):
+            sizes = tuple(rng.integers(2, 9, rng.integers(0, 5)).tolist())
+            identity = int(rng.integers(0, 5))
+            expected = np.eye(sum(sizes) + identity)
+            for start, n in zip(np.cumsum((0, *sizes)).tolist(), sizes):
+                expected[start : start + n, start : start + n] = cell(n)
+            assert SeidelOperator(sizes, identity).matrix().tobytes() == expected.tobytes()
+            if not len(expected):
+                continue
+            vertices = iter(rng.permutation(len(expected)).tolist())
+            part = SeidelPartition([[next(vertices) for _ in range(n)] for n in sizes],
+                                   list(vertices))
+            order = np.concatenate((*part.cells, part.d_cell)).astype(int)
+            u = switching_matrix(part, len(expected))
+            assert u[np.ix_(order, order)].tobytes() == expected.tobytes()
+            assert block_seidel(part).matrix().tobytes() == expected.tobytes()
 
     # refused when the operator is built, not first in matrix()
     @pytest.mark.parametrize("sizes, named", [
