@@ -29,6 +29,7 @@ from __future__ import annotations
 
 import functools
 import math
+import operator
 import os
 import threading
 import weakref
@@ -106,9 +107,31 @@ def _symmetric(m: np.ndarray) -> bool:
     return bool(np.isfinite(top) and (np.abs(x - x.T) <= _bound(EXACT_TOL, top, s)).all())
 
 
+def _real(x, error=InvalidGraph) -> np.ndarray:
+    """x as a float array of real numbers, numeric strings included; `error`
+    for complex, non-numeric or ragged entries, or an integer past the float range."""
+    try:
+        x = np.asarray(x)
+        if x.dtype.kind != "c":
+            return x.astype(float, copy=False)
+    except (TypeError, ValueError, OverflowError):
+        pass
+    raise error("entries must be real numbers in the float range")
+
+
+def _index(n, error, what: str) -> int:
+    """n as an int, read with operator.index; `error` for a bool or any other non-integer."""
+    try:
+        if not isinstance(n, bool):
+            return operator.index(n)
+    except TypeError:
+        pass
+    raise error(f"{what} must be an integer, got {n!r}")
+
+
 def _square(m) -> np.ndarray:
-    """m as a float array, after checking that it is a square matrix."""
-    m = np.asarray(m, dtype=float)
+    """m as a float array (`_real`), after checking that it is a square matrix."""
+    m = _real(m)
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
         raise NotSquare(f"expected a square matrix, got shape {m.shape}")
     return m
@@ -117,6 +140,7 @@ def _square(m) -> np.ndarray:
 def _dense(order: int, rows, cols, weights) -> np.ndarray:
     """Adjacency matrix of parallel edge arrays, after checking their pairs
     and zeros; an order too large for numpy's matrix fails first."""
+    order = _index(order, InvalidGraph, "order")
     if order < 1:
         raise InvalidGraph(f"order must be positive, got {order}")
     try:
@@ -176,8 +200,10 @@ class WeightedDigraph:
 
     def __init__(self, order: int, edges: Mapping[tuple[int, int], float] | None = None):
         edges = edges or {}
-        pairs = np.array(list(edges), dtype=float).reshape(-1, 2).T
-        self._adopt(_dense(order, *pairs, np.fromiter(edges.values(), float, len(edges))))
+        pairs, weights = _real(list(edges)), _real(list(edges.values()))
+        if edges and (pairs.shape != (len(edges), 2) or weights.shape != (len(edges),)):
+            raise InvalidGraph("edges must map (u, v) vertex pairs to numbers")
+        self._adopt(_dense(order, *pairs.reshape(-1, 2).T, weights))
 
     def _adopt(self, a: np.ndarray, symmetric: bool | None = None) -> None:
         top = _top(a)  # finite exactly when every weight is; rows are scanned to name one
@@ -224,16 +250,16 @@ class WeightedDigraph:
         InvalidGraph."""
         items = triples if isinstance(triples, np.ndarray) else list(triples)
         try:
-            table = np.asarray(items, dtype=float)  # a float table is read, not copied
-        except (TypeError, ValueError):
+            table = _real(items)  # a float table is read, not copied
+        except InvalidGraph:
             shapes = {np.array(item, dtype=object).shape for item in items}  # ragged rows too
             if len(shapes) > 1:
                 raise InvalidGraph(f"edges must be (u, v, weight) triples, "
                                    f"got rows of shapes {sorted(shapes)}") from None
             for item in items:  # the first row that holds something other than numbers
                 try:
-                    np.array(item, dtype=float)
-                except (TypeError, ValueError):
+                    _real(item)
+                except InvalidGraph:
                     raise InvalidGraph(f"edges must be (u, v, weight) triples of numbers, "
                                        f"got {item!r}") from None
             raise

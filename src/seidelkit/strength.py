@@ -23,7 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import BadBipartition, InvalidOrder, NotUnitary
-from .graph import NUMERIC_TOL, _square, _top
+from .graph import NUMERIC_TOL, _index, _square, _top
 
 
 @dataclass(frozen=True)
@@ -34,6 +34,8 @@ class Bipartition:
     n: int
 
     def __post_init__(self):
+        for name in ("m", "n"):
+            object.__setattr__(self, name, _index(getattr(self, name), BadBipartition, name))
         if self.m < 2 or self.n < 2:
             raise BadBipartition(f"both factors must be >= 2, got ({self.m}, {self.n})")
 
@@ -143,6 +145,7 @@ def strength_scan(max_order: int, include_blocks: bool = False) -> list[ScanRow]
     U_2 (+) I_{o-2}, which has the strengths of U_o. Rows are sorted by
     (order, m, kind).
     """
+    max_order = _index(max_order, InvalidOrder, "max_order")
     if max_order < 4:
         raise InvalidOrder(f"scan needs max_order >= 4, got {max_order}")
     return [

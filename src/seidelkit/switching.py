@@ -54,7 +54,9 @@ from .errors import (
     VerificationFailed,
     raise_first,
 )
-from .graph import EXACT_TOL, WeightedDigraph, _bound, _down, _scaled, _within, adjacency_matrix
+from .graph import (
+    EXACT_TOL, WeightedDigraph, _bound, _down, _index, _real, _scaled, _within, adjacency_matrix,
+)
 
 
 @dataclass(frozen=True)
@@ -71,7 +73,10 @@ class SeidelPartition:
     d_cell: tuple[int, ...] = ()
 
     def __post_init__(self):
-        cells, d = tuple(tuple(c) for c in self.cells), tuple(self.d_cell)
+        try:
+            cells, d = tuple(tuple(c) for c in self.cells), tuple(self.d_cell)
+        except TypeError:
+            raise InvalidPartition("cells and D must be sequences of vertices") from None
         for v in chain(*cells, d):
             if isinstance(v, bool) or not isinstance(v, (int, np.integer)):
                 raise InvalidPartition(f"vertex {v!r} is not an integer")
@@ -97,7 +102,7 @@ class SeidelPartition:
         return out
 
     def check_cover(self, order: int) -> None:
-        if self.members() != set(range(order)):
+        if self.members() != set(range(_index(order, InvalidPartition, "order"))):
             raise InvalidPartition(f"partition does not cover vertices 0..{order - 1} exactly")
 
     @functools.cached_property
@@ -132,6 +137,10 @@ class SeidelOperator:
     identity_size: int = 0
 
     def __post_init__(self):
+        object.__setattr__(self, "block_sizes",
+                           tuple(_index(n, InvalidOrder, "a block size") for n in self.block_sizes))
+        object.__setattr__(self, "identity_size",
+                           _index(self.identity_size, InvalidOrder, "the identity size"))
         for n in self.block_sizes:
             if n < 2:
                 raise InvalidOrder(f"switching operator needs order >= 2, got {n}")
@@ -186,7 +195,7 @@ def switch_cross_block(a: np.ndarray) -> np.ndarray:
     column sums are constant too. This runs the switch's own cross-block
     code on a two-cell matrix holding A.
     """
-    a = np.asarray(a, dtype=float)
+    a = _real(a, NonConstantRowSum)
     s, top, x = _down(2 * a.size, a)
     if a.ndim != 2 or not a.size or not np.isfinite(top):
         raise NonConstantRowSum(f"need a nonempty finite m x n block, got shape {a.shape}")
@@ -206,7 +215,7 @@ def flip_half_pattern(x: Sequence[float]) -> np.ndarray:
     the constant moves onto the previously empty half. This runs the
     switch's own hub-row code on a matrix whose one hub carries x.
     """
-    x = np.asarray(x, dtype=float)
+    x = _real(x, NotHalfAndHalf)
     if x.ndim != 1 or len(x) % 2 != 0:
         raise NotHalfAndHalf(f"need an even-length vector, got shape {x.shape}")
     nonzero = x[x != 0]

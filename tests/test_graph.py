@@ -15,6 +15,8 @@ from conftest import char_poly_exact, fresh, random_seidel_instance, random_star
 
 import seidelkit
 from seidelkit import (
+    Bipartition,
+    DensityMatrix,
     SeidelPartition,
     SpectralKind,
     WeightedDigraph,
@@ -26,6 +28,7 @@ from seidelkit import (
     laplacian,
     load_fixture,
     lq_switch,
+    realignment,
     seidel_matrix,
     signless_laplacian,
     spectral_gap,
@@ -95,6 +98,8 @@ class TestConstruction:
         (("a", 1, 1.0), r"\('a', 1, 1\.0\)"),
         ((0, 1, [1]), r"\(0, 1, \[1\]\)"),  # numpy's ValueError from np.shape leaked
         ((0, 1, object()), r"\(0, 1, <object object at 0x[0-9a-f]+>\)"),  # and its TypeError
+        ((0, 1, 10**400), r"\(0, 1, 10{400}\)"),  # and float's OverflowError
+        ((0, 1, 1j), r"\(0, 1, 1j\)"),
     ])
     def test_an_edge_that_is_not_numbers_is_named(self, row, named):
         with pytest.raises(InvalidGraph, match=f"triples of numbers, got {named}$"):
@@ -124,6 +129,25 @@ class TestConstruction:
         assert (K2 == 5) is False
         assert repr(K2) == "WeightedDigraph(order=2, edges={(0, 1): 1.0, (1, 0): 1.0})"
 
+    @pytest.mark.parametrize("build, named", [
+        (lambda: WeightedDigraph(2.5), "order must be an integer, got 2.5"),
+        (lambda: WeightedDigraph(True), "order must be an integer, got True"),
+        (lambda: WeightedDigraph.from_edges(2.0, []), "order must be an integer, got 2.0"),
+        (lambda: WeightedDigraph(3, {(0, 1, 2): 1.0}), "edges must map"),
+        (lambda: WeightedDigraph(3, {0: 1.0}), "edges must map"),
+        (lambda: WeightedDigraph(3, {(0, 1): 1.0, 2: 1.0}), "entries must be real numbers"),
+        (lambda: WeightedDigraph(3, {("a", "b"): 1.0}), "entries must be real numbers"),
+        (lambda: WeightedDigraph(3, {(0, 1): "x"}), "entries must be real numbers"),
+        (lambda: WeightedDigraph(3, {(0, 1): [1.0, 2.0]}), "edges must map"),
+    ])
+    def test_an_order_or_edge_key_that_is_no_integer_is_an_invalid_graph(self, build, named):
+        with pytest.raises(InvalidGraph, match=f"^{re.escape(named)}"):
+            build()
+
+    def test_integers_of_numpy_and_numeric_strings_are_read(self):
+        assert WeightedDigraph(np.int64(2), {(0, np.int32(1)): "1.5"}) == WeightedDigraph(
+            2, {(0, 1): 1.5})
+
     @pytest.mark.parametrize("order", [10**30, 2**30, 123456789])
     def test_an_order_numpy_cannot_hold_is_named(self, order):
         # numpy refuses with ValueError, OverflowError for longer orders, or
@@ -139,7 +163,9 @@ class TestConstruction:
         assert K2.weight(0, 1) == 1.0
         assert K2.weight(1, 1) == 0.0
 
-    @pytest.mark.parametrize("w", [float("nan"), float("inf"), -float("inf")])
+    # and a weight that is no real number, or none in the float range
+    @pytest.mark.parametrize("w", [float("nan"), float("inf"), -float("inf"),
+                                   pytest.param(10**400, id="10**400"), 1j, "x"])
     def test_non_finite_weight_rejected(self, w):
         with pytest.raises(InvalidGraph):
             WeightedDigraph(2, {(0, 1): w})
@@ -337,6 +363,20 @@ class TestSpectrum:
     def test_not_square(self):
         with pytest.raises(NotSquare):
             spectrum(np.ones((2, 3)))
+
+    # a complex matrix once lost its imaginary part with a ComplexWarning only
+    @pytest.mark.parametrize("m", [np.eye(4) + 1j, [["a"] * 4] * 4, [[1, 2], [3]],
+                                   [[0, 10**400], [10**400, 0]], [[1j, 0], [0, 1]]])
+    @pytest.mark.parametrize("f", [spectrum, lambda m: cospectral(m, np.eye(4)),
+                                   lambda m: spectral_gap(np.eye(4), m),
+                                   WeightedDigraph.from_adjacency, DensityMatrix,
+                                   lambda m: realignment(m, Bipartition(2, 2))])
+    def test_a_matrix_of_other_than_real_numbers_is_an_invalid_graph(self, m, f):
+        with pytest.raises(InvalidGraph, match="^entries must be real numbers"):
+            f(m)
+
+    def test_numeric_strings_are_read(self):
+        assert np.array_equal(spectrum([["2", "0"], ["0", "1"]]), [1.0, 2.0])
 
     def test_not_symmetric(self):
         with pytest.raises(NotSymmetric):

@@ -98,6 +98,15 @@ class TestRealignment:
         with pytest.raises(BadBipartition):
             Bipartition(1, 6)
 
+    @pytest.mark.parametrize("m, n, named", [(2.5, 2, "m must be an integer, got 2.5"),
+                                             (2.0, 2, "m must be an integer, got 2.0"),
+                                             (2, True, "n must be an integer, got True")])
+    def test_factors_are_integers(self, m, n, named):
+        # 2.0 was once accepted, to fail only in realignment's reshape
+        with pytest.raises(BadBipartition, match=f"^{named}$"):
+            Bipartition(m, n)
+        assert Bipartition(np.int64(2), 3) == Bipartition(2, 3)
+
 
 class TestIsLocal:
     def test_tensor_with_identity(self):
@@ -218,6 +227,11 @@ class TestStrengthScan:
     def test_rejects_small_order(self):
         with pytest.raises(InvalidOrder):
             strength_scan(3)
+
+    @pytest.mark.parametrize("max_order", [10.5, 10.0, True])
+    def test_rejects_an_order_that_is_no_integer(self, max_order):
+        with pytest.raises(InvalidOrder, match=f"^max_order must be an integer, got {max_order}$"):
+            strength_scan(max_order)
 
     def test_csv_format(self):
         text = scan_csv(strength_scan(4))

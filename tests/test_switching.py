@@ -114,6 +114,9 @@ class TestSeidelMatrix:
         (((1,),), "switching operator needs order >= 2, got 1"),
         (((4, -3),), "switching operator needs order >= 2, got -3"),
         (((2,), -1), "identity block needs size >= 0, got -1"),
+        (((3,), 1.5), "the identity size must be an integer, got 1.5"),
+        (((2.5,),), "a block size must be an integer, got 2.5"),
+        (((True, 2),), "a block size must be an integer, got True"),
     ])
     def test_an_operator_of_a_size_below_its_block_is_an_invalid_order(self, sizes, named):
         with pytest.raises(InvalidOrder, match=f"^{named}$"):
@@ -203,7 +206,9 @@ class TestCrossBlockTransform:
     @pytest.mark.parametrize("a", [np.array([[1.0, 0.0], [0.0, 2.0]]), np.ones(3),
                                    np.ones((2, 2, 2)), np.ones((0, 3)), np.ones((3, 0)),
                                    np.array([[np.nan, 0.0], [0.0, 1.0]]),
-                                   np.array([[np.inf, 0.0], [0.0, 1.0]])])
+                                   np.array([[np.inf, 0.0], [0.0, 1.0]]),
+                                   [[1, 2], [3]], [["a", "b"]], np.ones((2, 2)) + 1j,
+                                   [[10**400, 0]]])
     def test_non_constant_row_sum(self, a):
         with pytest.raises(NonConstantRowSum):
             switch_cross_block(a)
@@ -230,7 +235,8 @@ class TestFlipHalfPattern:
         with pytest.raises(NotHalfAndHalf):
             flip_half_pattern([1, 1, 0])
 
-    @pytest.mark.parametrize("x", [[1, 2, 0, 0], [np.nan, 0.0], [np.inf, 0.0], [-np.inf, 0.0]])
+    @pytest.mark.parametrize("x", [[1, 2, 0, 0], [np.nan, 0.0], [np.inf, 0.0], [-np.inf, 0.0],
+                                   ["a", "b"], [1j, 0], [[1, 0], [0]], [10**400, 0]])
     def test_mixed_values(self, x):
         with pytest.raises(NotHalfAndHalf):
             flip_half_pattern(x)
@@ -562,7 +568,19 @@ class TestPartitionVertices:
             with pytest.raises(InvalidPartition, match=r"^partition does not cover vertices 0\.\.2"):
                 f(g, SeidelPartition(cells, d))
 
+    @pytest.mark.parametrize("cells, d", [((3,), ()), (((0, 1),), 2), (None, ())])
+    def test_parts_are_sequences(self, cells, d):
+        with pytest.raises(InvalidPartition, match="^cells and D must be sequences of vertices$"):
+            SeidelPartition(cells, d)
+
+    @pytest.mark.parametrize("order", [3.0, True, "3"])
+    def test_an_order_is_an_integer(self, order):
+        part = SeidelPartition(((0, 1),), (2,))
+        with pytest.raises(InvalidPartition, match=f"^order must be an integer, got {order!r}$"):
+            switching_matrix(part, order)
+
     def test_numpy_integers(self):
+        assert np.array_equal(switching_matrix(SeidelPartition(((0, 1),)), np.int64(2)), PAULI_X)
         part = SeidelPartition(((np.int64(1), np.int32(0)),), (np.intp(2),))
         assert part == SeidelPartition(((0, 1),), (2,))
         assert hash(part) == hash(SeidelPartition(((0, 1),), (2,)))
