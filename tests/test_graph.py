@@ -669,6 +669,112 @@ class TestIsomorphism:
             brute_force_isomorphic(WeightedDigraph(2), WeightedDigraph(3))
 
 
+class TestIsomorphismOracle:
+    """`brute_force_isomorphic` against networkx's VF2 search, with weights
+    and loop weights matched: 1,000 and more cases. networkx is a test-only
+    oracle; a symmetric pair is compared as undirected graphs, which is
+    faster and decides the same."""
+
+    @staticmethod
+    def verdicts(nx, g, h):
+        kind = nx.Graph if g.is_symmetric() and h.is_symmetric() else nx.DiGraph
+
+        def oracle_graph(k):
+            d = kind()
+            d.add_nodes_from(range(k.order))
+            d.add_weighted_edges_from((u, v, w) for (u, v), w in k.edges.items())
+            return d
+
+        same = nx.is_isomorphic(oracle_graph(g), oracle_graph(h),
+                                edge_match=lambda x, y: x["weight"] == y["weight"])
+        return brute_force_isomorphic(g, h), same
+
+    @staticmethod
+    def of(graph, perm=None):
+        """An undirected networkx graph on 0..n-1 as a WeightedDigraph of unit
+        weights, its vertex v relabelled perm[v]."""
+        n = len(graph)
+        perm = np.arange(n) if perm is None else perm
+        a = np.zeros((n, n))
+        for u, v in graph.edges():
+            a[perm[u], perm[v]] = a[perm[v], perm[u]] = 1.0
+        return WeightedDigraph.from_adjacency(a)
+
+    @pytest.fixture(scope="class")
+    def nx(self):
+        return pytest.importorskip("networkx")
+
+    @pytest.fixture(scope="class")
+    def atlas(self, nx):
+        """Every fourth graph of the networkx atlas, which lists one graph per
+        isomorphism class of order 1 to 7 in order of (order, edge count)."""
+        return nx.graph_atlas_g()[1::4]
+
+    def test_relabelled_atlas_graphs(self, nx, rng, atlas):
+        for graph in atlas:
+            pair = self.of(graph), self.of(graph, rng.permutation(len(graph)))
+            assert self.verdicts(nx, *pair) == (True, True)
+        assert len(atlas) == 313
+
+    def test_atlas_pairs_of_equal_order_and_size(self, nx, rng, atlas):
+        # one graph per class, so two of the same order and edge count differ
+        pairs = [(g, h) for g, h in zip(atlas, atlas[1:])
+                 if (len(g), g.number_of_edges()) == (len(h), h.number_of_edges())]
+        for g, h in pairs:
+            pair = self.of(g), self.of(h, rng.permutation(len(h)))
+            assert self.verdicts(nx, *pair) == (False, False)
+        assert len(pairs) == 271
+
+    def test_weighted_digraphs(self, nx, rng):
+        # relabelled, and for every other draw one entry changed first;
+        # loops stay positive
+        seen = []
+        for draw in range(300):
+            n = int(rng.integers(2, 11))
+            a = rng.choice([-2.0, 0.0, 0.0, 1.0, 2.0], size=(n, n))
+            np.fill_diagonal(a, rng.choice([0.0, 0.0, 1.0, 2.0], size=n))
+            perm = rng.permutation(n)
+            b = a[np.ix_(perm, perm)]
+            if draw % 2:
+                u, v = rng.integers(0, n, 2)
+                b[u, v] = rng.choice([w for w in (0.0, 1.0, 2.0, -1.0)
+                                      if w != b[u, v] and (u != v or w >= 0)])
+            mine, theirs = self.verdicts(nx, WeightedDigraph.from_adjacency(a),
+                                         WeightedDigraph.from_adjacency(b))
+            assert mine == theirs
+            seen.append(mine)
+        assert seen.count(True) >= 150 and seen.count(False) > 100
+
+    def test_weighted_circulant_digraphs(self, nx, rng):
+        # i -> i + s (mod n) with weight w_s: every vertex has the signature
+        # of every other, in both graphs, so only the search tells them apart
+        seen = []
+        for _ in range(120):
+            n = int(rng.integers(5, 11))
+            k = int(rng.integers(2, n - 2))
+            weights = rng.choice([1.0, 2.0, -1.0], size=k)
+            a, b = np.zeros((n, n)), np.zeros((n, n))
+            for m in (a, b):
+                for s, w in zip(rng.choice(np.arange(1, n), size=k, replace=False), weights):
+                    m[np.arange(n), (np.arange(n) + s) % n] = w
+            perm = rng.permutation(n)
+            mine, theirs = self.verdicts(nx, WeightedDigraph.from_adjacency(a),
+                                         WeightedDigraph.from_adjacency(b[np.ix_(perm, perm)]))
+            assert mine == theirs
+            seen.append(mine)
+        assert seen.count(True) > 10 and seen.count(False) > 60
+
+    def test_cubic_graphs_of_order_12(self, nx, rng):
+        cubic = [nx.random_regular_graph(3, 12, seed=seed) for seed in range(6)]
+        seen = []
+        for g, h in zip(cubic, cubic[1:]):
+            for other in (g, h):
+                mine, theirs = self.verdicts(nx, self.of(g), self.of(other, rng.permutation(12)))
+                assert mine == theirs
+                seen.append(mine)
+        assert seen.count(True) >= 5 and seen.count(False) >= 3
+
+
 class TestTolerancePolicy:
     def test_only_the_two_tolerances_are_literals(self):
         # every tolerance is EXACT_TOL or NUMERIC_TOL, defined once in graph.py
