@@ -9,7 +9,12 @@ L(G) (resp. Q(G)), and `kind` only selects the M that a certificate checks.
 The starlike conditions are sufficient for this, not necessary. They read
 the hub table of `switching`; a category-2 hub's half is one count, of the
 vertices it shares with its cell's first category-2 hub: n/2 for the same
-half, 0 for the complement.
+half, 0 for the complement. "One weight" per category and direction means
+weights equal under the tolerance rule with EXACT_TOL, the test `switching`
+applies to the weights of one half-attached hub.
+
+A kind is a `SpectralKind` or its value, "laplacian" or "signless", in
+every function that takes one.
 """
 
 from __future__ import annotations
@@ -39,19 +44,24 @@ from .switching import validate_seidel  # noqa: F401  kept importable from this 
 
 
 class SpectralKind(enum.Enum):
+    """L = Deg - A or Q = Deg + A. A function that takes a kind reads it as
+    SpectralKind(kind): a value means its member, and any other raises
+    ValueError."""
+
     LAPLACIAN = "laplacian"
     SIGNLESS = "signless"
 
 
 def spectral_matrix(g: WeightedDigraph, kind: SpectralKind) -> np.ndarray:
-    """L(G) or Q(G), as a new read-only matrix tied to (g, kind).
+    """L(G) or Q(G), as a new read-only matrix tied to (g, kind), for a
+    kind that is a `SpectralKind` or its value.
 
     The matrix cannot be made writable again. Its spectrum is solved at
-    most once per graph and kind: the first solve by `cospectral`,
-    `spectral_gap` or `density_from_graph` of a matrix this returns is
-    recorded with g, and read for every later matrix of g and kind. An
-    array of the caller's own, a copy of this one included, is solved on
-    every call.
+    most once per graph and kind, a member and its value alike: the first
+    solve by `cospectral`, `spectral_gap` or `density_from_graph` of a
+    matrix this returns is recorded with g, and read for every later matrix
+    of g and kind. An array of the caller's own, a copy of this one
+    included, is solved on every call.
     """
     kind = SpectralKind(kind)
     m = laplacian(g) if kind is SpectralKind.LAPLACIAN else signless_laplacian(g)
@@ -64,7 +74,8 @@ class StarlikeCellProfile:
 
     w_plus / w_minus are the category-1 weights (hub to cell / cell to hub),
     w_half_plus / w_half_minus the category-2 ones; a weight is 0.0 when that
-    direction carries no edges. q is the number of category-2 hub vertices.
+    direction carries no edges, and the largest of weights equal within
+    EXACT_TOL. q is the number of category-2 hub vertices.
     """
 
     cell_index: int
@@ -81,9 +92,10 @@ def validate_starlike(g: WeightedDigraph, part: SeidelPartition) -> list[Starlik
     """Check the starlike conditions on top of the switching-graph ones.
 
     No edges may run between distinct cells; category-1 edges share one
-    weight per direction across each cell; the category-2 vertices of each
-    cell come in an even number, split evenly between one half of the cell
-    and its complement, again with one weight per direction.
+    weight per direction across each cell, up to the tolerance rule with
+    EXACT_TOL; the category-2 vertices of each cell come in an even number,
+    split evenly between one half of the cell and its complement, again
+    with one weight per direction.
 
     The graph remembers the cell profiles of a check that passed: a later
     call for an equal partition, or an `lq_switch`, does not check again.
@@ -171,7 +183,8 @@ def lift_graph(g: WeightedDigraph, kind: SpectralKind) -> WeightedDigraph:
 
 
 def project_graph(h: WeightedDigraph, kind: SpectralKind) -> WeightedDigraph:
-    """Inverse of lift_graph: recover G' with L(G') (or Q(G')) = A(H).
+    """Inverse of lift_graph: recover G' with L(G') (or Q(G')) = A(H), for a
+    kind that is a `SpectralKind` or its value.
 
     Signless case: off-diagonals carry over and the loop weight is
     (a_ii - sum_j |a_ij|) / 2 per vertex, which must be nonnegative; one

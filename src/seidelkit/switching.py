@@ -30,7 +30,8 @@ w[direction, cell vertex, hub] (direction 0 outgoing, 1 incoming): per
 direction, cell and hub the count, min and max of the nonzero weights; per
 cell and hub the count of attached cell vertices and whether the hub is in
 category 1 (attached to all), 2 (to half) or 3 (to none); a hub with any
-other count is in none.
+other count is in none; and the s of `_down` at which `_uneven` reads a
+spread of weights.
 """
 
 from __future__ import annotations
