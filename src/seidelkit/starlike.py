@@ -239,6 +239,7 @@ def lq_switch(
     without a copy, and is born symmetric: the switch of a symmetric A is
     exactly symmetric (`switching`), so G' is never scanned.
     """
+    kind = SpectralKind(kind)  # read, and an unknown kind refused, whether or not M is built
     if ("starlike", part) not in g._facts:  # else a check passed, on a cover of g
         if force:
             part.check_cover(g.order)

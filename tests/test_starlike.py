@@ -262,8 +262,10 @@ class TestKindByValue:
         g = WeightedDigraph.from_edges(4, sym_edges(C4) + sym_edges([(0, 2)], w=2.0))
         assert project_graph(lift_graph(g, kind), kind.value) == g
 
-    @pytest.mark.parametrize("f", [spectral_matrix, lift_graph, project_graph,
-                                   density_from_graph])
+    @pytest.mark.parametrize("f", [
+        spectral_matrix, lift_graph, project_graph, density_from_graph,
+        lambda g, kind: lq_switch(g, SeidelPartition(((0, 1, 2),)), kind),
+    ])
     def test_an_unknown_kind_raises(self, f):
         # it once read as Q in spectral_matrix and as L in project_graph
         with pytest.raises(ValueError, match="'bogus' is not a valid SpectralKind"):
