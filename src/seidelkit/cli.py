@@ -6,7 +6,6 @@ Exit codes: 0 success, 1 domain error, 2 usage, parse or file error.
 from __future__ import annotations
 
 import argparse
-import math
 import sys
 from pathlib import Path
 
@@ -19,6 +18,7 @@ from .graph import (
     NUMERIC_TOL,
     _compared,
     _scaled,
+    _tolerance,
     adjacency_matrix,
     brute_force_isomorphic,
     cospectral,
@@ -234,8 +234,10 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    if not (math.isfinite(args.tol) and args.tol >= 0):
-        print(f"error: --tol must be a finite number >= 0, got {args.tol}", file=sys.stderr)
+    try:
+        _tolerance(args.tol)
+    except ValueError as exc:
+        print(f"error: --{exc}", file=sys.stderr)
         return 2
     try:
         return args.fn(args)

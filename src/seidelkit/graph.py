@@ -10,7 +10,8 @@ edge map is a view of it, built only when asked for. All derived matrices
 Built-in checks allow |delta| <= tol * (1 + max |entry|) of the matrix
 compared, or |delta| <= tol for normalized states and unitaries; the `tol`
 of `cospectral` goes through the same rule, other `tol` arguments are used
-as given. EXACT_TOL = 1e-12 is for values a closed formula
+as given. Every `tol` argument is a finite number >= 0 (`_tolerance`), or
+ValueError. EXACT_TOL = 1e-12 is for values a closed formula
 computes in a few operations (symmetry, row sums, equal weights, traces, a
 switch against U A U). NUMERIC_TOL = 1e-9 is for anything an eigensolver or
 an SVD computes (spectra, realizability, the PSD floor, unitarity, the rank
@@ -34,8 +35,9 @@ import os
 import threading
 import weakref
 from collections import Counter
+from collections.abc import Iterable, Mapping
+from itertools import chain
 from types import MappingProxyType
-from typing import Iterable, Mapping
 
 import numpy as np
 
@@ -80,8 +82,17 @@ def _down(terms: int, *xs, top=None):
 
 def _scaled(x, s: int):
     """x * 2^s, exactly; x itself for s = 0, and inf with no warning past the float range."""
+    if not s:
+        return x
     with np.errstate(over="ignore"):
-        return np.multiply(x, 2.0**s) if s else x
+        return np.multiply(x, 2.0**s)
+
+
+def _tolerance(tol: float) -> float:
+    """tol, after checking that it is a finite number >= 0; ValueError otherwise."""
+    if not (math.isfinite(tol) and tol >= 0):
+        raise ValueError(f"tol must be a finite number >= 0, got {tol}")
+    return tol
 
 
 def _within(x, tol: float, scale, s: int = 0) -> np.ndarray:
@@ -161,9 +172,10 @@ def _dense(order: int, rows, cols, weights) -> np.ndarray:
     return a
 
 
-# matrices tied to a graph's record by `_tie`: id -> (weak reference to the
-# matrix, the graph's _facts, the record's key); an entry goes with its matrix
+# matrices tied to a graph's record by `_tie`: id -> (weak reference to the matrix, the
+# graph's _facts, key, degrees, combine and _source); an entry goes with its matrix
 _TIED: dict[int, tuple] = {}
+_PROBES = 32  # +-1 columns of a probe of `_handed`
 
 
 def _frozen(a: np.ndarray) -> np.ndarray:
@@ -189,23 +201,30 @@ class WeightedDigraph:
     once; a check that fails is not remembered and fails the same way
     again. It also remembers the first spectrum solved of its Laplacian or
     signless Laplacian, as `spectral_matrix` returns them, so `cospectral`
-    and `density_from_graph` solve each once. A copy or pickle is a new
-    graph: it scans its weights and remembers no check and no spectrum.
+    and `density_from_graph` solve each once, or take it from the graph a
+    switch built it from (`_handed`). A copy or pickle is a new graph: it
+    scans its weights and remembers no check, no spectrum and no switch.
     """
 
     # _top: max |w|; _facts: the cell profiles of passed starlike checks,
-    # keyed by ("starlike", partition), and read-only L/Q spectra, keyed by
-    # ("spectrum", kind); O(n) arrays at most, never n x n
-    __slots__ = ("order", "_adjacency", "_symmetric", "_top", "_edges", "_facts")
+    # keyed by ("starlike", partition), and read-only L/Q spectra with their
+    # d and combine (`_tie`), keyed by ("spectrum", kind); O(n) arrays at most,
+    # never n x n. _source: None, or what `switching._switched` records
+    __slots__ = ("order", "_adjacency", "_symmetric", "_top", "_edges", "_facts", "_source")
 
     def __init__(self, order: int, edges: Mapping[tuple[int, int], float] | None = None):
         edges = edges or {}
-        pairs, weights = _real(list(edges)), _real(list(edges.values()))
-        if edges and (pairs.shape != (len(edges), 2) or weights.shape != (len(edges),)):
+        if not isinstance(edges, Mapping):
+            raise InvalidGraph(f"edges must map pairs to numbers, got a {type(edges).__name__}")
+        keys, k = edges.keys(), len(edges)  # pairs are read as one flat list: faster
+        flat = all(type(key) is tuple and len(key) == 2 for key in keys)
+        pairs = _real(list(chain.from_iterable(keys) if flat else keys))
+        weights = _real(list(edges.values()))
+        if edges and (pairs.shape not in ((k, 2), (2 * k,)) or weights.shape != (k,)):
             raise InvalidGraph("edges must map (u, v) vertex pairs to numbers")
         self._adopt(_dense(order, *pairs.reshape(-1, 2).T, weights))
 
-    def _adopt(self, a: np.ndarray, symmetric: bool | None = None) -> None:
+    def _adopt(self, a: np.ndarray, symmetric: bool | None = None, source=None) -> None:
         top = _top(a)  # finite exactly when every weight is; rows are scanned to name one
         nonfinite = np.zeros(len(a), bool) if np.isfinite(top) else ~np.isfinite(a).all(axis=1)
         raise_first(
@@ -217,7 +236,8 @@ class WeightedDigraph:
         if symmetric is None:
             symmetric = _exactly_symmetric(a)
         for name, value in (("order", len(a)), ("_adjacency", a), ("_symmetric", symmetric),
-                            ("_top", float(top)), ("_edges", None), ("_facts", {})):
+                            ("_top", float(top)), ("_edges", None), ("_facts", {}),
+                            ("_source", source)):
             object.__setattr__(self, name, value)
 
     def __setattr__(self, name, value):
@@ -227,11 +247,12 @@ class WeightedDigraph:
         return (WeightedDigraph.from_adjacency, (self._adjacency,))
 
     @classmethod
-    def _of(cls, a: np.ndarray, symmetric: bool | None = None) -> "WeightedDigraph":
+    def _of(cls, a: np.ndarray, symmetric: bool | None = None, source=None) -> "WeightedDigraph":
         """Graph that takes over a new square float matrix, without a copy;
-        symmetric=None scans it for its symmetry, True or False is the answer."""
+        symmetric=None scans it for its symmetry, True or False is the answer;
+        `source` is what a switch records (`switching._switched`)."""
         g = cls.__new__(cls)
-        g._adopt(a, symmetric)
+        g._adopt(a, symmetric, source)
         return g
 
     @classmethod
@@ -248,7 +269,8 @@ class WeightedDigraph:
         shape (k, 3) with one triple per row. An empty input has no edges;
         any other shape, or a row that is not three numbers, raises
         InvalidGraph."""
-        items = triples if isinstance(triples, np.ndarray) else list(triples)
+        listed = isinstance(triples, Iterable) and not isinstance(triples, np.ndarray)
+        items = list(triples) if listed else triples  # else read as a table of shape (k, 3)
         try:
             table = _real(items)  # a float table is read, not copied
         except InvalidGraph:
@@ -289,7 +311,8 @@ class WeightedDigraph:
         return self._edges
 
     def weight(self, u: int, v: int) -> float:
-        """Weight of the directed edge u -> v, or 0.0 when absent."""
+        """Weight of edge u -> v, 0.0 when absent; InvalidGraph for a vertex that is no integer."""
+        u, v = (_index(x, InvalidGraph, "a vertex") for x in (u, v))
         if 0 <= u < self.order and 0 <= v < self.order:
             return float(self._adjacency[u, v])
         return 0.0
@@ -322,29 +345,30 @@ def adjacency_matrix(g: WeightedDigraph) -> np.ndarray:
 
 def degree_matrix(g: WeightedDigraph) -> np.ndarray:
     """Diagonal matrix of degrees d_i = sum_j |a_ij| (loops counted once)."""
-    return np.diag(_degrees(g, np.abs(g._adjacency)))
+    return np.diag(_degrees(g, np.abs(g._adjacency))[1])
 
 
-def _degrees(g: WeightedDigraph, m: np.ndarray, combine=np.add, loops=0.0) -> np.ndarray:
-    """combine(d, loops) for the row sums d of m = |A|; InvalidGraph past the float range."""
+def _degrees(g: WeightedDigraph, m: np.ndarray, combine=np.add, loops=0.0) -> tuple:
+    """(d, combine(d, loops)) for the row sums d of m = |A|; InvalidGraph if that overflows."""
     s, _, m, loops = _down(g.order + 1, m, loops, top=g._top)
-    d = _scaled(combine(np.add.reduce(m, axis=1), loops), s)
-    raise_first((~np.isfinite(d), lambda v: InvalidGraph(
+    d = np.add.reduce(m, axis=1)
+    out = _scaled(combine(d, loops), s)
+    raise_first((~np.isfinite(out), lambda v: InvalidGraph(
         f"the weights at vertex {v} sum past the float range")))
-    return d
+    return _scaled(d, s), out
 
 
-def _with_degrees(g: WeightedDigraph, combine) -> np.ndarray:
-    """combine(degree_matrix(g), A), combine being np.subtract or np.add, in
-    one n x n array, which first holds |A| for the degree sums; off the
-    diagonal combine(0.0, a) is what the dense Deg gives, -0.0 included."""
+def _with_degrees(g: WeightedDigraph, combine) -> tuple:
+    """(combine(degree_matrix(g), A), the degrees), combine being np.subtract
+    or np.add, in one n x n array, which first holds |A| for the degree sums;
+    off the diagonal combine(0.0, a) is what the dense Deg gives, -0.0 included."""
     _require_symmetric_weights(g)
     a = g._adjacency
     m = np.abs(a)
-    diagonal = _degrees(g, m, combine, a.diagonal())
+    d, diagonal = _degrees(g, m, combine, a.diagonal())
     combine(0.0, a, out=m)
     m.flat[:: a.shape[0] + 1] = diagonal
-    return m
+    return m, d
 
 
 def _require_symmetric_weights(g: WeightedDigraph) -> None:
@@ -356,12 +380,12 @@ def _require_symmetric_weights(g: WeightedDigraph) -> None:
 
 def laplacian(g: WeightedDigraph) -> np.ndarray:
     """Laplacian D - A; defined only for symmetric weights."""
-    return _with_degrees(g, np.subtract)
+    return _with_degrees(g, np.subtract)[0]
 
 
 def signless_laplacian(g: WeightedDigraph) -> np.ndarray:
     """Signless Laplacian D + A; defined only for symmetric weights."""
-    return _with_degrees(g, np.add)
+    return _with_degrees(g, np.add)[0]
 
 
 def spectrum(m: np.ndarray) -> np.ndarray:
@@ -379,28 +403,57 @@ def spectrum(m: np.ndarray) -> np.ndarray:
     return w
 
 
-def _tie(m: np.ndarray, g: WeightedDigraph, key) -> np.ndarray:
-    """A read-only view of the new matrix m, tied to g's record `key`: the
-    first `_eigvalsh` of a matrix tied to it is recorded with g, later ones
-    read that record. The tie lasts as long as the view."""
+def _tie(g: WeightedDigraph, combine, key) -> np.ndarray:
+    """M = combine(Deg, A) of g, new and read-only, tied to g's record `key`: the first
+    `_eigvalsh` of a matrix tied to it is recorded with g, with the degrees d and combine
+    (M Y = combine(d Y, A Y)); later ones read it. The tie lasts as long as the matrix."""
+    m, d = _with_degrees(g, combine)
     m = _frozen(m)
     # the callback, called with the dead reference, is _TIED.pop(id(m), ref)
-    _TIED[id(m)] = (weakref.ref(m, functools.partial(_TIED.pop, id(m))), g._facts, key)
+    ref = weakref.ref(m, functools.partial(_TIED.pop, id(m)))
+    _TIED[id(m)] = (ref, g._facts, key, d, combine, g._source)
     return m
 
 
 def _eigvalsh(m: np.ndarray) -> np.ndarray:
     """np.linalg.eigvalsh(m). For a matrix of `_tie` it is the spectrum
-    recorded with its graph, solved, made read-only and recorded on the
-    first call; the weak reference makes sure that m itself is the tied
-    matrix, not a later array that reuses its id."""
+    recorded with its graph, handed over (`_handed`) or solved, made
+    read-only and recorded on the first call; the weak reference makes sure
+    that m itself is the tied matrix, not a later array that reuses its id."""
     tie = _TIED.get(id(m))
     if tie is None or tie[0]() is not m:
         return np.linalg.eigvalsh(m)
-    _, facts, key = tie
+    _, facts, key, d, combine, source = tie
     if key not in facts:
-        facts[key] = _frozen(np.linalg.eigvalsh(m))
-    return facts[key]
+        spectrum = _handed(m, key, source)
+        facts[key] = (_frozen(np.linalg.eigvalsh(m)) if spectrum is None else spectrum, d, combine)
+    return facts[key][0]
+
+
+def _handed(m: np.ndarray, key, source) -> np.ndarray | None:
+    """G's spectrum recorded under `key`, when m's graph is the switch of G
+    by U (`source`) and a probe certifies m = U M U for G's M; else None.
+
+    m X and U (M (U X)), M Y = combine(d Y, A Y) from G's d and A, agree under the
+    tolerance rule with EXACT_TOL (exactly, on dyadic weights and power-of-two cells) for
+    _PROBES columns X of +-1 from os.urandom. An entry of E = m - U M U above that bound
+    shows in each column with probability >= 1/2, so all miss it with probability
+    <= 2^-_PROBES; by Weyl, each eigenvalue then moves by <= ||E||_2 <= n max |E_ij|."""
+    a = source and source[0]()  # None once G is gone
+    if a is None or key not in source[1]:
+        return None
+    (spectrum, d, combine), lay, n = source[1][key], source[2]._layout, len(m)
+    # d and the diagonal of L or Q are >= 0, |a_ij| <= d_i, and an entry of L or Q is at
+    # most (up to rounding) its largest diagonal one; |m X| <= n top, |U M U X| <= 18 top
+    top = max(m.diagonal().max(), d.max())
+    if not np.isfinite(top):  # a degree of G past the float range
+        return None
+    s, _, m, a, d = _down(2 * (n + 18), m, a, d, top=top)
+    bits = np.frombuffer(os.urandom(n * _PROBES // 8), np.uint8)
+    x = 1.0 - 2.0 * np.unpackbits(bits).reshape(n, _PROBES)
+    y = lay.reflect(x)
+    expected = lay.reflect(combine(d[:, None] * y, a @ y))
+    return spectrum if _within(m @ x - expected, EXACT_TOL, expected, s).all() else None
 
 
 def _clusters(z: np.ndarray, radius: float) -> np.ndarray:
@@ -462,10 +515,10 @@ def _concurrent(order: int) -> bool:
 
 
 def _solve_both(solve, a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """solve(a) and solve(b); when `_concurrent(len(a))`, b is solved on a
-    worker thread while the caller solves a. The worker is joined even when
-    the caller's solve raises, and its exception is re-raised here."""
-    if not _concurrent(len(a)):
+    """solve(a) and solve(b); when `_concurrent(len(a))` and neither may be handed a
+    spectrum (`_handed`), b is solved on a worker thread while the caller solves a. The
+    worker is joined even when the caller's solve raises, and its exception is re-raised."""
+    if not _concurrent(len(a)) or any(_TIED.get(id(m), (None,))[-1] for m in (a, b)):
         return solve(a), solve(b)
     out: list = [None]
 
@@ -490,7 +543,7 @@ def _compared(a: np.ndarray, b: np.ndarray, tol: float) -> tuple:
     """(gap, s, top, spectrum of a, of b) of square matrices of one order, in units of 2^s
     (`_down`): ascending and real spectra when both are symmetric, else complex and sorted by
     (real, imag); a symmetric `spectral_matrix` is solved once per graph and kind."""
-    a, b = _square(a), _square(b)
+    a, b, tol = _square(a), _square(b), _tolerance(tol)
     if a.shape != b.shape:
         raise OrderMismatch(f"orders differ: {a.shape[0]} vs {b.shape[0]}")
     s, top, a, b = _down(2 * len(a) ** 2, a, b)  # a cluster sum adds 2n eigenvalues of n top
@@ -527,10 +580,13 @@ def spectral_gap(a: np.ndarray, b: np.ndarray, tol: float = NUMERIC_TOL) -> floa
     conditioned even where its members are not. A non-finite entry raises
     InvalidGraph.
 
+    A matrix of `spectral_matrix` reads its graph's recorded spectrum, or one handed
+    over (see there), so a certified switched pair has gap 0.0; any other is solved.
     Above order 500, when the environment pins BLAS to t threads and the
     process may run on at least 2t CPUs, the two spectra are solved
-    concurrently, each by its own LAPACK call on the same input; otherwise
-    one after the other. The results are identical either way.
+    concurrently, each by its own LAPACK call on the same input, unless one
+    may be handed over; otherwise one after the other. The results are
+    identical either way.
     """
     return float(_scaled(*_compared(a, b, tol)[:2]))
 
@@ -539,9 +595,9 @@ def cospectral(a: np.ndarray, b: np.ndarray, tol: float = NUMERIC_TOL) -> bool:
     """True when the eigenvalue multisets of a and b match under the
     tolerance rule: spectral_gap(a, b, tol) <= tol * (1 + max |entry|).
 
-    See `spectral_gap` for the comparison. Unitary conjugates of asymmetric
-    adjacency matrices, defective ones included, are covered by the general
-    path. Large pairs may have their two spectra solved concurrently (see
+    See `spectral_gap` for the comparison, and when a spectrum is handed over. Unitary
+    conjugates of asymmetric adjacency matrices, defective ones included, are covered by
+    the general path. Large pairs may have their two spectra solved concurrently (see
     `spectral_gap`); the verdict is identical either way.
     """
     gap, s, top, _, _ = _compared(a, b, tol)

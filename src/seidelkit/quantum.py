@@ -15,7 +15,7 @@ import numpy as np
 
 from .errors import InvalidGraph, NotPSD, NotSymmetric, ZeroTrace
 from .graph import EXACT_TOL, NUMERIC_TOL, WeightedDigraph, _eigvalsh, _frozen, _square
-from .graph import _down, _exactly_symmetric, _scaled
+from .graph import _down, _exactly_symmetric, _scaled, _tolerance
 from .starlike import SpectralKind, spectral_matrix
 
 
@@ -87,8 +87,9 @@ def density_from_graph(g: WeightedDigraph, kind: SpectralKind) -> DensityMatrix:
     symmetric, so the state M / tr M is a new array with no symmetry check.
     Its spectrum is spectrum(M) / tr M, where spectrum(M) is the one
     recorded with g by `spectral_matrix`: solved here only if no
-    `cospectral` or earlier state of g and kind solved it. The trace and PSD
-    checks of `DensityMatrix` run as for any state.
+    `cospectral` or earlier state of g and kind solved it and none was
+    handed over (see `spectral_matrix`). The trace and PSD checks of
+    `DensityMatrix` run as for any state.
     """
     m = spectral_matrix(g, kind)
     s, _, d = _down(g.order * (g.order + 1), m.diagonal(), top=g._top)  # n of (n + 1) max |w|
@@ -109,5 +110,5 @@ def von_neumann_entropy(rho: DensityMatrix) -> float:
 
 
 def is_pure(rho: DensityMatrix, tol: float = NUMERIC_TOL) -> bool:
-    """True when the numerical rank (eigenvalues above tol) is one."""
-    return int(np.count_nonzero(rho.eigenvalues() > tol)) == 1
+    """True when the numerical rank (eigenvalues above tol >= 0) is one."""
+    return int(np.count_nonzero(rho.eigenvalues() > _tolerance(tol))) == 1

@@ -37,7 +37,7 @@ from .errors import (
 )
 from .graph import (
     NUMERIC_TOL, WeightedDigraph, _require_symmetric_weights, _down, _scaled, _tie, _within,
-    adjacency_matrix, laplacian, signless_laplacian,
+    adjacency_matrix,
 )
 from .switching import SeidelPartition, _checked, _switched, _uneven, _verify_switch
 from .switching import validate_seidel  # noqa: F401  kept importable from this module
@@ -60,12 +60,13 @@ def spectral_matrix(g: WeightedDigraph, kind: SpectralKind) -> np.ndarray:
     most once per graph and kind, a member and its value alike: the first
     solve by `cospectral`, `spectral_gap` or `density_from_graph` of a
     matrix this returns is recorded with g, and read for every later matrix
-    of g and kind. An array of the caller's own, a copy of this one
-    included, is solved on every call.
+    of g and kind. If g is the switch of a live graph G with a record of this kind,
+    G's spectrum is handed over instead once a probe certifies the matrix as
+    U M(G) U (`graph._handed`), which no switch that is not starlike passes. An
+    array of the caller's own, a copy of this one included, is always solved.
     """
     kind = SpectralKind(kind)
-    m = laplacian(g) if kind is SpectralKind.LAPLACIAN else signless_laplacian(g)
-    return _tie(m, g, ("spectrum", kind))
+    return _tie(g, np.subtract if kind is SpectralKind.LAPLACIAN else np.add, ("spectrum", kind))
 
 
 @dataclass(frozen=True)

@@ -23,7 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import BadBipartition, InvalidOrder, NotUnitary
-from .graph import NUMERIC_TOL, _index, _square, _top
+from .graph import NUMERIC_TOL, _index, _square, _tolerance, _top
 
 
 @dataclass(frozen=True)
@@ -96,7 +96,8 @@ def _require_unitary(u: np.ndarray) -> np.ndarray:
 
 
 def realignment_rank(u: np.ndarray, bip: Bipartition, tol: float = NUMERIC_TOL) -> int:
-    """Number of singular values above tol * s_max of the realigned matrix."""
+    """Number of singular values above tol * s_max (tol >= 0) of the realigned matrix."""
+    tol = _tolerance(tol)
     sv = np.linalg.svd(realignment(u, bip), compute_uv=False)
     if sv[0] == 0.0:
         return 0

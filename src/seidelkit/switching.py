@@ -37,10 +37,11 @@ spread of weights.
 from __future__ import annotations
 
 import functools
+import weakref
 from dataclasses import dataclass
 from itertools import chain, islice
 from types import SimpleNamespace
-from typing import Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -138,6 +139,8 @@ class SeidelOperator:
     identity_size: int = 0
 
     def __post_init__(self):
+        if not isinstance(self.block_sizes, Iterable):
+            raise InvalidOrder(f"block sizes must be a sequence, got {self.block_sizes!r}")
         object.__setattr__(self, "block_sizes",
                            tuple(_index(n, InvalidOrder, "a block size") for n in self.block_sizes))
         object.__setattr__(self, "identity_size",
@@ -181,10 +184,7 @@ def switching_matrix(part: SeidelPartition, order: int) -> np.ndarray:
     """Switching operator in graph vertex order (not partition order): the
     identity, with U_n = (2/n)J - I on the vertices of each cell of n."""
     part.check_cover(order)
-    u = np.eye(order)
-    for cell in part.cells:
-        u[np.ix_(cell, cell)] = 2.0 / len(cell) - np.eye(len(cell))
-    return u
+    return part._layout.reflect(np.eye(order))
 
 
 def switch_cross_block(a: np.ndarray) -> np.ndarray:
@@ -247,6 +247,14 @@ class _Layout:
         self.cell_of = part[: self.m]  # of each cell position
         self.part_of = np.empty(len(part), dtype=np.intp)  # of each vertex
         self.part_of[self.perm] = part
+
+    def reflect(self, x: np.ndarray) -> np.ndarray:
+        """U x = 2 P x - x for rows x in vertex order; the rows of D stay."""
+        cells = self.perm[: self.m]
+        y, q = x.copy(), x[cells]
+        twice_mean = 2.0 * np.add.reduceat(q, self.starts, axis=0) / self.sizes[:, None]
+        y[cells] = twice_mean[self.cell_of] - q
+        return y
 
 
 def _conjugated(a: np.ndarray, lay: _Layout, top: float, symmetric: bool = False) -> np.ndarray:
@@ -410,10 +418,12 @@ def _verify_switch(m: np.ndarray, switched: np.ndarray, part: SeidelPartition) -
 
 def _switched(g: WeightedDigraph, part: SeidelPartition) -> WeightedDigraph:
     """The switch of g, for a partition that covers it; no check runs. The
-    switch of a symmetric A is exactly symmetric, so that result is never scanned."""
+    switch of a symmetric A is exactly symmetric, so that result is never
+    scanned. It records its source for `graph._handed`: a weak reference to g's
+    adjacency (never g's matrix itself), g's O(n) record and the partition."""
     symmetric = g.is_symmetric()
-    return WeightedDigraph._of(
-        _conjugated(g._adjacency, part._layout, g._top, symmetric), symmetric or None)
+    return WeightedDigraph._of(_conjugated(g._adjacency, part._layout, g._top, symmetric),
+                               symmetric or None, (weakref.ref(g._adjacency), g._facts, part))
 
 
 def switch(g: WeightedDigraph, part: SeidelPartition, verify: bool = False) -> WeightedDigraph:

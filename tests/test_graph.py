@@ -25,10 +25,13 @@ from seidelkit import (
     cospectral,
     degree_matrix,
     density_from_graph,
+    is_local,
+    is_pure,
     laplacian,
     load_fixture,
     lq_switch,
     realignment,
+    realignment_rank,
     seidel_matrix,
     signless_laplacian,
     spectral_gap,
@@ -124,6 +127,7 @@ class TestConstruction:
 
     def test_a_pair_outside_the_vertices_weighs_nothing(self):
         assert [K2.weight(u, v) for u, v in ((2, 0), (0, 2), (-1, 1))] == [0.0, 0.0, 0.0]
+        assert K2.weight(np.int64(0), np.uint8(1)) == 1.0
 
     def test_a_graph_equals_no_other_type_and_shows_its_edges(self):
         assert (K2 == 5) is False
@@ -139,6 +143,17 @@ class TestConstruction:
         (lambda: WeightedDigraph(3, {("a", "b"): 1.0}), "entries must be real numbers"),
         (lambda: WeightedDigraph(3, {(0, 1): "x"}), "entries must be real numbers"),
         (lambda: WeightedDigraph(3, {(0, 1): [1.0, 2.0]}), "edges must map"),
+        # keys that are no tuples of two are read one key at a time
+        (lambda: WeightedDigraph(3, {"01": 1.0}), "edges must map"),
+        (lambda: WeightedDigraph(3, {frozenset((0, 1)): 1.0}), "entries must be real numbers"),
+        (lambda: WeightedDigraph(3, {((0, 1), (1, 2)): 1.0}), "edges must map"),
+        (lambda: WeightedDigraph(3, {(0, np.complex128(1)): 1.0}), "entries must be real numbers"),
+        (lambda: WeightedDigraph(3, {(0, 1): 1.0, (0, 1, 2): 1.0, (2,): 1.0}),
+         "entries must be real numbers"),
+        (lambda: WeightedDigraph(2, [(0, 1)]), "edges must map pairs to numbers, got a list"),
+        (lambda: WeightedDigraph.from_edges(2, 5), "edges must be (u, v, weight) triples, a table"),
+        (lambda: WeightedDigraph(3).weight(0.5, 1), "a vertex must be an integer, got 0.5"),
+        (lambda: WeightedDigraph(3).weight(0, "a"), "a vertex must be an integer, got 'a'"),
     ])
     def test_an_order_or_edge_key_that_is_no_integer_is_an_invalid_graph(self, build, named):
         with pytest.raises(InvalidGraph, match=f"^{re.escape(named)}"):
@@ -422,6 +437,21 @@ class TestSpectrum:
         m = rng.normal(size=(8, 8))
         ev = spectrum(m + m.T)
         assert np.all(np.diff(ev) >= 0)
+
+
+# a tol of NaN failed every comparison, and a negative one every equality
+@pytest.mark.parametrize("tol", [float("nan"), -1.0, -1e-300, float("inf")])
+@pytest.mark.parametrize("call", [
+    lambda tol: cospectral(np.eye(2), np.eye(2), tol),
+    lambda tol: spectral_gap(np.eye(2), np.eye(2), tol),
+    lambda tol: is_local(np.eye(4), Bipartition(2, 2), tol),
+    lambda tol: realignment_rank(np.eye(4), Bipartition(2, 2), tol),
+    lambda tol: is_pure(density_from_graph(K2, SpectralKind.LAPLACIAN), tol),
+], ids=["cospectral", "spectral_gap", "is_local", "realignment_rank", "is_pure"])
+def test_a_tol_that_is_no_finite_number_at_least_zero_is_refused(call, tol):
+    with pytest.raises(ValueError, match=f"^tol must be a finite number >= 0, got {tol}$"):
+        call(tol)
+    assert call(1e-9) in (True, 0.0, 1)
 
 
 class TestCospectral:

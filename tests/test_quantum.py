@@ -2,15 +2,19 @@
 
 import copy
 import gc
+import os
 import pickle
+import subprocess
 import sys
 import threading
 import weakref
+from pathlib import Path
 
 import numpy as np
 import pytest
 from conftest import fresh, random_seidel_instance, random_starlike_instance
 
+import seidelkit
 from seidelkit import (
     DensityMatrix,
     SeidelPartition,
@@ -28,7 +32,7 @@ from seidelkit import (
     validate_starlike,
     von_neumann_entropy,
 )
-from seidelkit import graph
+from seidelkit import graph, switching
 from seidelkit.errors import InvalidGraph, NotPSD, NotSymmetric, ZeroTrace
 
 K2 = WeightedDigraph.from_edges(2, [(0, 1, 1.0), (1, 0, 1.0)])
@@ -245,11 +249,27 @@ def lq_op(g, part, kind, states_first=False):
 
 
 class TestSpectrumRecord:
+    # the switch of g takes g's recorded spectrum once a probe certifies
+    # M(g') = U M(g) U, so a certified op solves one spectrum, not two
     @pytest.mark.parametrize("concurrent", [False, True])
     @pytest.mark.parametrize("states_first", [False, True])
-    def test_an_lq_op_solves_each_spectrum_once(self, monkeypatch, eigensolves, concurrent,
-                                                states_first):
+    def test_a_certified_lq_op_solves_one_spectrum(self, monkeypatch, eigensolves, concurrent,
+                                                   states_first):
         monkeypatch.setattr(graph, "_concurrent", lambda order: concurrent)
+        doc = load_fixture("fig4_left")
+        for kind in KINDS:
+            eigensolves.clear()
+            g = fresh(doc.graph())
+            g2, verdict, (s, s2) = lq_op(g, doc.partition, kind, states_first)
+            assert verdict and abs(s - s2) < 1e-9
+            assert len(eigensolves) == 1
+            assert g2._facts["spectrum", kind][0] is g._facts["spectrum", kind][0]
+            assert spectral_gap(spectral_matrix(g, kind), spectral_matrix(g2, kind)) == 0.0
+
+    @pytest.mark.parametrize("states_first", [False, True])
+    def test_a_failed_certificate_solves_both_with_the_same_verdict(self, monkeypatch,
+                                                                    eigensolves, states_first):
+        monkeypatch.setattr(graph, "_handed", lambda m, key, source: None)
         doc = load_fixture("fig4_left")
         for kind in KINDS:
             eigensolves.clear()
@@ -257,7 +277,7 @@ class TestSpectrumRecord:
             assert verdict and abs(s - s2) < 1e-9
             assert len(eigensolves) == 2
 
-    def test_recorded_spectra_equal_fresh_solves(self, rng):
+    def test_handed_spectra_lie_within_the_weyl_bound_of_fresh_solves(self, rng):
         # graphs are built and dropped, so the ids of their matrices are reused
         ids = set()
         for draw in range(1000):
@@ -268,10 +288,59 @@ class TestSpectrumRecord:
             ids.add(id(m))
             own, own2 = (np.array(spectral_matrix(fresh(h), kind)) for h in (g, g2))
             assert verdict == cospectral(m, m2) == cospectral(own, own2)
-            assert spectral_gap(m, m2) == spectral_gap(own, own2)
-            for h, entropy in ((g, s), (g2, s2)):
-                assert entropy == von_neumann_entropy(density_from_graph(fresh(h), kind))
+            assert s == von_neumann_entropy(density_from_graph(fresh(g), kind))
+            assert abs(s2 - von_neumann_entropy(density_from_graph(fresh(g2), kind))) < 1e-9
+            # each column of the probe bounds |E_ij| by EXACT_TOL (1 + n max |M'|);
+            # Weyl moves each eigenvalue by at most n times that
+            n, top = g.order, np.abs(own2).max()
+            weyl = n * graph.EXACT_TOL * (1 + n * top) + graph.NUMERIC_TOL * (1 + top)
+            handed = g2._facts["spectrum", kind][0]
+            assert handed is g._facts["spectrum", kind][0]
+            assert np.abs(handed - np.linalg.eigvalsh(own2)).max() <= weyl
         assert len(ids) < 1000
+
+    def test_an_lq_op_leaves_numpy_random_unimported(self):
+        # the probe draws its bits from os.urandom; importing numpy.random
+        # alone costs several MB of resident memory
+        op = "\n".join([
+            "import sys",
+            "from seidelkit import *",
+            "doc, kind = load_fixture('fig4_left'), SpectralKind.LAPLACIAN",
+            "g, part = doc.graph(), doc.partition",
+            "validate_starlike(g, part)",
+            "g2 = lq_switch(g, part, kind)",
+            "verdict = cospectral(spectral_matrix(g, kind), spectral_matrix(g2, kind))",
+            "s, s2 = (von_neumann_entropy(density_from_graph(h, kind)) for h in (g, g2))",
+            "handed = g2._facts['spectrum', kind][0] is g._facts['spectrum', kind][0]",
+            "print(verdict, handed, 'numpy.random' in sys.modules)",
+        ])
+        path = str(Path(seidelkit.__file__).parents[1])
+        out = subprocess.run([sys.executable, "-c", op], env={**os.environ, "PYTHONPATH": path},
+                             capture_output=True, text=True, check=True).stdout
+        assert out.split() == ["True", "True", "False"]
+
+    def test_a_switch_off_by_two_to_the_minus_20_is_never_handed_a_spectrum(
+            self, monkeypatch, rng, eigensolves):
+        # one symmetric pair of g' is moved by 2^-20 as the switch builds it
+        conjugated = switching._conjugated
+
+        def off(a, lay, top, symmetric=False):
+            result = conjugated(a, lay, top, symmetric)
+            u, v = rng.choice(len(a), 2, replace=False)
+            result[u, v] += 2.0**-20
+            result[v, u] += 2.0**-20
+            return result
+
+        monkeypatch.setattr(switching, "_conjugated", off)
+        for draw in range(300):
+            g, part = random_starlike_instance(rng)
+            kind = KINDS[draw % 2]
+            eigensolves.clear()
+            g2, verdict, _ = lq_op(g, part, kind, states_first=draw % 4 > 1)
+            assert len(eigensolves) == 2
+            assert g2._facts["spectrum", kind][0] is not g._facts["spectrum", kind][0]
+            own, own2 = (np.array(spectral_matrix(fresh(h), kind)) for h in (g, g2))
+            assert verdict == cospectral(own, own2)
 
     @pytest.mark.parametrize("writable", [True, False])
     def test_a_callers_array_is_always_solved(self, eigensolves, writable):
@@ -297,7 +366,7 @@ class TestSpectrumRecord:
         m = spectral_matrix(g, kind)
         rho = density_from_graph(g, kind)
         assert cospectral(m, spectral_matrix(g, kind))
-        recorded = g._facts["spectrum", kind]
+        recorded = g._facts["spectrum", kind][0]
         with pytest.raises(ValueError):
             recorded.flags.writeable = True
         # a graph takes no weak reference; its adjacency matrix lives as long

@@ -31,12 +31,16 @@ from seidelkit import (
     SpectralKind,
     WeightedDigraph,
     adjacency_matrix,
+    cospectral,
+    density_from_graph,
     flip_half_pattern,
     lq_switch,
+    spectral_matrix,
     switch,
     switch_cross_block,
     validate_seidel,
     validate_starlike,
+    von_neumann_entropy,
 )
 from seidelkit.errors import SeidelKitError
 
@@ -125,6 +129,38 @@ def test_every_outcome_is_as_recorded():
         "regenerate the file only if the generators changed on purpose")
     moved = [i for i, (s, c) in enumerate(zip(stored, current)) if s[1] != c[1]]
     assert moved == [], f"{len(moved)} of {len(stored)} outcomes moved, first at inputs {moved[:10]}"
+
+
+def test_handed_spectra_keep_every_verdict_and_entropy():
+    # on every symmetric input that switches, starlike or not, the L and Q
+    # verdicts and entropies of g and its switch, whose spectrum is handed
+    # over or solved, are those of fresh copies, which record nothing
+    def entropy(h, kind):
+        try:
+            return von_neumann_entropy(density_from_graph(h, kind))
+        except SeidelKitError as e:
+            return type(e)
+
+    handed = solved = 0
+    for g, part in inputs():
+        if not g.is_symmetric():
+            continue
+        try:
+            g2 = switch(g, part)
+        except SeidelKitError:
+            continue
+        for kind in (L, Q):
+            verdict = cospectral(spectral_matrix(g, kind), spectral_matrix(g2, kind))
+            copies = [fresh(h) for h in (g, g2)]
+            assert verdict == cospectral(*(spectral_matrix(h, kind) for h in copies))
+            for h, copy in zip((g, g2), copies):
+                s, expected = entropy(h, kind), entropy(copy, kind)
+                assert s == expected if isinstance(s, type) else abs(s - expected) <= 1e-9
+            if g2._facts["spectrum", kind][0] is g._facts["spectrum", kind][0]:
+                handed += 1
+            else:
+                solved += 1
+    assert handed and solved, (handed, solved)  # 376 and 114
 
 
 if __name__ == "__main__":

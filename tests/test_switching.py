@@ -117,6 +117,7 @@ class TestSeidelMatrix:
         (((3,), 1.5), "the identity size must be an integer, got 1.5"),
         (((2.5,),), "a block size must be an integer, got 2.5"),
         (((True, 2),), "a block size must be an integer, got True"),
+        ((3,), "block sizes must be a sequence, got 3"),
     ])
     def test_an_operator_of_a_size_below_its_block_is_an_invalid_order(self, sizes, named):
         with pytest.raises(InvalidOrder, match=f"^{named}$"):
